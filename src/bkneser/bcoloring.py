@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
-from .kneser import Graph, KneserParams, VertexSubset
+from .kneser import Graph, KneserParams, VertexSubset, bit_indices
 
 
 @dataclass(frozen=True)
@@ -88,21 +89,39 @@ def _require_matching_domain(graph: Graph, coloring: Coloring) -> None:
         )
 
 
+def class_masks(colors: Sequence[int], count: int) -> list[int]:
+    """One vertex bitmask per color class."""
+    out = [0] * count
+    for v, c in enumerate(colors):
+        out[c] |= 1 << v
+    return out
+
+
 def is_proper(
     graph: Graph, coloring: Coloring
 ) -> tuple[bool, tuple[int, int] | None]:
-    """True iff no edge joins two same-colored vertices; else one violating edge."""
+    """True iff no edge joins two same-colored vertices; else the
+    lexicographically first violating edge."""
     _require_matching_domain(graph, coloring)
     colors = coloring.colors
-    for u, v in graph.edges():
-        if colors[u] == colors[v]:
-            return False, (u, v)
+    return _check_proper(graph, colors, class_masks(colors, coloring.color_count))
+
+
+def _check_proper(
+    graph: Graph, colors: Sequence[int], classes: list[int]
+) -> tuple[bool, tuple[int, int] | None]:
+    # The first vertex with a same-colored neighbor has none below it, or
+    # that neighbor would have come first; so its lowest clash is the edge.
+    for u, m in enumerate(graph.masks):
+        clash = m & classes[colors[u]]
+        if clash:
+            return False, (u, (clash & -clash).bit_length() - 1)
     return True, None
 
 
-def _sees_all_colors(graph: Graph, colors: Sequence[int], v: int, count: int) -> bool:
-    seen = {colors[u] for u in graph.closed_neighbors(v)}
-    return len(seen) == count
+def _sees_all_colors(graph: Graph, classes: list[int], v: int) -> bool:
+    closed = graph.masks[v] | (1 << v)
+    return all(closed & cm for cm in classes)
 
 
 def dominating_vertices(graph: Graph, coloring: Coloring, color: int) -> set[int]:
@@ -113,12 +132,9 @@ def dominating_vertices(graph: Graph, coloring: Coloring, color: int) -> set[int
     _require_matching_domain(graph, coloring)
     if not 0 <= color < coloring.color_count:
         raise ValueError(f"color {color} out of range 0..{coloring.color_count - 1}")
-    colors = coloring.colors
-    count = coloring.color_count
+    classes = class_masks(coloring.colors, coloring.color_count)
     return {
-        v
-        for v in range(graph.vertex_count)
-        if colors[v] == color and _sees_all_colors(graph, colors, v, count)
+        v for v in bit_indices(classes[color]) if _sees_all_colors(graph, classes, v)
     }
 
 
@@ -130,42 +146,29 @@ def is_b_coloring(
     Short-circuits on the first witness per class unless all_witnesses is set,
     in which case every witness is enumerated.
     """
-    proper, edge = is_proper(graph, coloring)
+    _require_matching_domain(graph, coloring)
+    colors = coloring.colors
+    classes = class_masks(colors, coloring.color_count)
+    proper, edge = _check_proper(graph, colors, classes)
     if not proper:
         return BColoringVerdict(
             False, reason=BColoringFailure.NOT_PROPER, violating_edge=edge
         )
-    colors = coloring.colors
-    count = coloring.color_count
-    members: list[list[int]] = [[] for _ in range(count)]
-    for v, c in enumerate(colors):
-        members[c].append(v)
     first: list[int] = []
     full: list[tuple[int, ...]] = []
-    for c in range(count):
-        found = [
-            v for v in members[c] if _sees_all_colors(graph, colors, v, count)
-        ] if all_witnesses else None
-        if all_witnesses:
-            if not found:
-                return BColoringVerdict(
-                    False,
-                    reason=BColoringFailure.MISSING_DOMINATING_VERTEX,
-                    failing_color=c,
-                )
-            first.append(found[0])
-            full.append(tuple(found))
-        else:
-            for v in members[c]:
-                if _sees_all_colors(graph, colors, v, count):
-                    first.append(v)
-                    break
-            else:
-                return BColoringVerdict(
-                    False,
-                    reason=BColoringFailure.MISSING_DOMINATING_VERTEX,
-                    failing_color=c,
-                )
+    for c, members in enumerate(classes):
+        witnesses = (
+            v for v in bit_indices(members) if _sees_all_colors(graph, classes, v)
+        )
+        found = tuple(witnesses) if all_witnesses else tuple(islice(witnesses, 1))
+        if not found:
+            return BColoringVerdict(
+                False,
+                reason=BColoringFailure.MISSING_DOMINATING_VERTEX,
+                failing_color=c,
+            )
+        first.append(found[0])
+        full.append(found)
     return BColoringVerdict(
         True,
         witnesses=tuple(first),

@@ -7,6 +7,7 @@ optional structure analysis), reproduce (run a named verification suite).
 Exit codes: 0 success or valid; 1 invalid certificate or failed suite;
 2 usage or input error; 3 budget-limited bracket. Budgets can also be set via
 BKNESER_NODE_BUDGET, BKNESER_TIME_BUDGET and BKNESER_BRUTE_CAP; flags win.
+Node budgets and brute caps below 1 and negative time budgets exit 2.
 """
 
 from __future__ import annotations
@@ -43,21 +44,27 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-DEFAULT_SEED = 1729
-
 ENV_NODE_BUDGET = "BKNESER_NODE_BUDGET"
 ENV_TIME_BUDGET = "BKNESER_TIME_BUDGET"
 ENV_BRUTE_CAP = "BKNESER_BRUTE_CAP"
 
 
-def _env_number(name: str, cast) -> Any:
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ValueError(f"environment variable {name}={raw!r} is not a number")
+def _setting(flag_value: Any, flag: str, env: str, cast, default: Any, least: Any) -> Any:
+    """A budget setting from its flag, else its environment variable, else
+    the default; a value below `least` is an input error naming its source."""
+    value, source = flag_value, flag
+    if value is None:
+        raw = os.environ.get(env)
+        if raw is None:
+            return default
+        source = f"environment variable {env}"
+        try:
+            value = cast(raw)
+        except ValueError:
+            raise ValueError(f"{source}={raw!r} is not a number") from None
+    if not value >= least:  # also rejects NaN
+        raise ValueError(f"{source} must be at least {least}, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -98,8 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--budget-nodes", type=int, default=None)
     p_solve.add_argument("--budget-seconds", type=float, default=None)
     p_solve.add_argument("--brute-cap", type=int, default=None)
-    p_solve.add_argument("--threads", type=int, default=1)
-    p_solve.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_solve.add_argument("--cert", default="certificate.json", help="certificate output path")
     p_solve.add_argument("--format", choices=["human", "json"], default="human")
     p_solve.set_defaults(func=_cmd_solve)
@@ -124,7 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="seed-list file for the oracle suite (default: committed list)",
     )
-    p_rep.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_rep.set_defaults(func=_cmd_reproduce)
 
     return parser
@@ -224,26 +228,24 @@ def _parse_solve_target(args: argparse.Namespace):
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    graph = _parse_solve_target(args)
-    nodes = args.budget_nodes
-    if nodes is None:
-        nodes = _env_number(ENV_NODE_BUDGET, int) or DEFAULT_NODE_BUDGET
-    seconds = args.budget_seconds
-    if seconds is None:
-        seconds = _env_number(ENV_TIME_BUDGET, float)
-    brute_cap = args.brute_cap
-    if brute_cap is None:
-        brute_cap = _env_number(ENV_BRUTE_CAP, int) or DEFAULT_BRUTE_FORCE_CAP
-    budget = Budget(max_nodes=nodes, time_limit=seconds)
-    cfg = _config_dict(
-        args, ["target", "mode", "threads", "seed", "cert", "format"]
+    nodes = _setting(
+        args.budget_nodes, "--budget-nodes", ENV_NODE_BUDGET, int, DEFAULT_NODE_BUDGET, 1
     )
+    seconds = _setting(
+        args.budget_seconds, "--budget-seconds", ENV_TIME_BUDGET, float, None, 0.0
+    )
+    brute_cap = _setting(
+        args.brute_cap, "--brute-cap", ENV_BRUTE_CAP, int, DEFAULT_BRUTE_FORCE_CAP, 1
+    )
+    graph = _parse_solve_target(args)
+    budget = Budget(max_nodes=nodes, time_limit=seconds)
+    cfg = _config_dict(args, ["target", "mode", "cert", "format"])
     cfg["budget_nodes"] = nodes
     cfg["budget_seconds"] = seconds
     cfg["brute_cap"] = brute_cap
     try:
         if args.mode == "exact":
-            result = exact_phi(graph, budget=budget, threads=args.threads)
+            result = exact_phi(graph, budget=budget)
         elif args.mode == "brute":
             result = brute_force_phi(graph, cap=brute_cap)
         else:
@@ -376,7 +378,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         report = suite_fn()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = _config_dict(args, ["suite", "out_dir", "limit", "seed_list", "seed"])
+    cfg = _config_dict(args, ["suite", "out_dir", "limit", "seed_list"])
     payload = {"config": cfg, **report.to_dict()}
     json_path = out_dir / f"{args.suite}.json"
     text_path = out_dir / f"{args.suite}.txt"

@@ -120,22 +120,22 @@ def _assemble(
     edges: list[tuple[int, int]],
     params: KneserParams | None,
 ) -> Graph:
-    uniq = sorted(set(edges))
-    if len(uniq) != declared_edges:
+    top = max((v for _, v in edges), default=-1)
+    if top >= vertex_count:
+        raise ValueError(f"edge endpoint {top + 1} exceeds vertex count")
+    graph = Graph.from_edges(vertex_count, edges)
+    if graph.edge_count != declared_edges:
         raise ValueError(
-            f"edge count mismatch: declared {declared_edges}, found {len(uniq)}"
+            f"edge count mismatch: declared {declared_edges}, found {graph.edge_count}"
         )
-    for u, v in uniq:
-        if v >= vertex_count:
-            raise ValueError(f"edge endpoint {v + 1} exceeds vertex count")
     if params is not None:
         expected = build_graph(params)
-        if expected.vertex_count != vertex_count or sorted(expected.edges()) != uniq:
+        if expected.masks != graph.masks:
             raise ValueError(
                 f"edge list does not match kneser n={params.n} k={params.k}"
             )
         return expected
-    return Graph.from_edges(vertex_count, uniq)
+    return graph
 
 
 def write_graph(path: str | Path, graph: Graph, fmt: str = "dimacs") -> None:

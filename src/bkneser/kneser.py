@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator
 
 # Bitset vertices fit one machine word; larger ground sets are formula-only.
@@ -29,13 +28,13 @@ def binomial(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-def _bit_elements(bits: int) -> tuple[int, ...]:
-    """1-indexed elements of a bitmask, ascending."""
+def bit_indices(mask: int) -> tuple[int, ...]:
+    """0-indexed positions of the set bits of a nonnegative mask, ascending."""
     out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length())
-        bits ^= low
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 
@@ -62,7 +61,7 @@ class VertexSubset:
         return cls(bits, ground_size)
 
     def elements(self) -> tuple[int, ...]:
-        return _bit_elements(self.bits)
+        return tuple(i + 1 for i in bit_indices(self.bits))
 
     def size(self) -> int:
         return self.bits.bit_count()
@@ -135,12 +134,12 @@ class KneserParams:
 class Graph:
     """Immutable undirected graph with index-addressable vertices in canonical order.
 
-    Optionally carries the Kneser subsets labelling each vertex and the
-    generating parameters. Safe for shared concurrent reads; nothing mutates
-    after construction.
+    The adjacency is one int bitmask per vertex: bit u of masks[v] is set iff
+    uv is an edge. Optionally carries the Kneser subsets labelling each vertex
+    and the generating parameters. Nothing mutates after construction.
     """
 
-    __slots__ = ("_neighbors", "_neighbor_sets", "_edge_count", "subsets", "params")
+    __slots__ = ("_masks", "_edge_count", "subsets", "params")
 
     def __init__(
         self,
@@ -148,28 +147,21 @@ class Graph:
         subsets: Iterable[VertexSubset] | None = None,
         params: KneserParams | None = None,
     ) -> None:
-        nbrs = tuple(tuple(sorted(set(ns))) for ns in neighbors)
-        n = len(nbrs)
-        for v, ns in enumerate(nbrs):
+        lists = [list(ns) for ns in neighbors]
+        n = len(lists)
+        masks = [0] * n
+        seen_by = [0] * n  # bit v of seen_by[u] set iff u is listed under v
+        for v, ns in enumerate(lists):
             for u in ns:
-                if u == v:
-                    raise ValueError(f"self-loop at vertex {v}")
-                if not 0 <= u < n:
-                    raise ValueError(f"neighbor {u} of vertex {v} out of range")
-        sets = tuple(frozenset(ns) for ns in nbrs)
-        for v, ns in enumerate(nbrs):
-            for u in ns:
-                if v not in sets[u]:
-                    raise ValueError(f"adjacency not symmetric at ({v}, {u})")
-        self._neighbors = nbrs
-        self._neighbor_sets = sets
-        self._edge_count = sum(len(ns) for ns in nbrs) // 2
-        if subsets is not None:
-            subsets = tuple(subsets)
-            if len(subsets) != n:
-                raise ValueError("subset labels do not match vertex count")
-        self.subsets = subsets
-        self.params = params
+                _check_endpoint(v, u, n)
+                masks[v] |= 1 << u
+                seen_by[u] |= 1 << v
+        for v in range(n):
+            one_sided = masks[v] & ~seen_by[v]
+            if one_sided:
+                u = (one_sided & -one_sided).bit_length() - 1
+                raise ValueError(f"adjacency not symmetric at ({v}, {u})")
+        self._adopt(masks, subsets, params)
 
     @classmethod
     def from_edges(
@@ -179,48 +171,82 @@ class Graph:
         subsets: Iterable[VertexSubset] | None = None,
         params: KneserParams | None = None,
     ) -> Graph:
-        nbrs: list[set[int]] = [set() for _ in range(vertex_count)]
+        masks = [0] * vertex_count
         for u, v in edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return cls(nbrs, subsets=subsets, params=params)
+            _check_endpoint(u, v, vertex_count)
+            _check_endpoint(v, u, vertex_count)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return cls._from_masks(masks, subsets, params)
+
+    @classmethod
+    def _from_masks(
+        cls,
+        masks: Iterable[int],
+        subsets: Iterable[VertexSubset] | None = None,
+        params: KneserParams | None = None,
+    ) -> Graph:
+        """Adopt masks the caller guarantees symmetric, loop-free and in range."""
+        graph = cls.__new__(cls)
+        graph._adopt(masks, subsets, params)
+        return graph
+
+    def _adopt(
+        self,
+        masks: Iterable[int],
+        subsets: Iterable[VertexSubset] | None,
+        params: KneserParams | None,
+    ) -> None:
+        self._masks = tuple(masks)
+        self._edge_count = sum(m.bit_count() for m in self._masks) // 2
+        if subsets is not None:
+            subsets = tuple(subsets)
+            if len(subsets) != len(self._masks):
+                raise ValueError("subset labels do not match vertex count")
+        self.subsets = subsets
+        self.params = params
+
+    @property
+    def masks(self) -> tuple[int, ...]:
+        """The adjacency: bit u of masks[v] is set iff uv is an edge."""
+        return self._masks
 
     @property
     def vertex_count(self) -> int:
-        return len(self._neighbors)
+        return len(self._masks)
 
     @property
     def edge_count(self) -> int:
         return self._edge_count
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._neighbors[v]
-
-    def neighbor_set(self, v: int) -> frozenset[int]:
-        return self._neighbor_sets[v]
-
-    def closed_neighbors(self, v: int) -> Iterator[int]:
-        yield v
-        yield from self._neighbors[v]
+        """Neighbors of v, ascending."""
+        return bit_indices(self._masks[v])
 
     def degree(self, v: int) -> int:
-        return len(self._neighbors[v])
+        return self._masks[v].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(ns) for ns in self._neighbors)
+        return tuple(m.bit_count() for m in self._masks)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._neighbor_sets[u]
+        return bool(self._masks[u] >> v & 1)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges (u, v) with u < v, ascending lexicographically."""
-        for v, ns in enumerate(self._neighbors):
-            for u in ns:
-                if u > v:
-                    yield (v, u)
+        for v, m in enumerate(self._masks):
+            for u in bit_indices(m >> (v + 1)):
+                yield (v, v + 1 + u)
 
     def __repr__(self) -> str:
         return f"Graph(vertices={self.vertex_count}, edges={self.edge_count})"
+
+
+def _check_endpoint(v: int, u: int, n: int) -> None:
+    if u == v:
+        raise ValueError(f"self-loop at vertex {v}")
+    if not 0 <= u < n:
+        raise ValueError(f"neighbor {u} of vertex {v} out of range")
 
 
 def enumerate_vertices(
@@ -269,24 +295,20 @@ def build_graph(
 ) -> Graph:
     """Materialize KG(2n+k, n) with edges joining disjoint subsets."""
     verts = enumerate_vertices(params, cap)
-    index = {v.bits: i for i, v in enumerate(verts)}
-    full = (1 << params.ground_size) - 1
-    n = params.n
-    neighbor_lists = []
+    # containing[e]: mask of the vertices whose subset holds element e+1; a
+    # vertex is adjacent to exactly those containing none of its elements.
+    containing = [0] * params.ground_size
+    for i, v in enumerate(verts):
+        for e in bit_indices(v.bits):
+            containing[e] |= 1 << i
+    full = (1 << len(verts)) - 1
+    masks = []
     for v in verts:
-        rest = _bit_elements(full & ~v.bits)
-        row = sorted(
-            index[_mask_of(combo)] for combo in combinations(rest, n)
-        )
-        neighbor_lists.append(row)
-    graph = Graph(neighbor_lists, subsets=verts, params=params)
+        meets = 0
+        for e in bit_indices(v.bits):
+            meets |= containing[e]
+        masks.append(full & ~meets)
+    graph = Graph._from_masks(masks, verts, params)
     if 2 * graph.edge_count != params.vertex_count * params.degree:
         raise RuntimeError("internal error: edge count violates regularity")
     return graph
-
-
-def _mask_of(elements: tuple[int, ...]) -> int:
-    bits = 0
-    for e in elements:
-        bits |= 1 << (e - 1)
-    return bits

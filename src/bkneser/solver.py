@@ -20,22 +20,18 @@ domination at the leaves, with no shared search machinery.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, islice
-from threading import Lock
-from typing import Callable, Iterator, TypeVar
+from functools import reduce
+from itertools import combinations
+from operator import or_
 
-from .bcoloring import BColoringFailure, Coloring, is_b_coloring
+from .bcoloring import BColoringFailure, Coloring, class_masks, is_b_coloring
 from .bounds import best_upper_bound
-from .kneser import Graph, InstanceTooLarge
+from .kneser import Graph, InstanceTooLarge, bit_indices
 
 DEFAULT_NODE_BUDGET = 100_000_000
 DEFAULT_BRUTE_FORCE_CAP = 12
-_FLUSH_EVERY = 2048
-
-T = TypeVar("T")
-R = TypeVar("R")
+_CLOCK_EVERY = 2048
 
 
 @dataclass(frozen=True)
@@ -76,32 +72,32 @@ class _StopSearch(Exception):
     """Internal signal: budget exhausted; unwinds the current search."""
 
 
+def _expired(deadline: float | None) -> bool:
+    return deadline is not None and time.monotonic() > deadline
+
+
 class _BudgetTracker:
-    """Shared node/time accounting; workers flush local counts in batches."""
+    """Node and time accounting for one solve."""
 
     def __init__(self, budget: Budget) -> None:
         self.budget = budget
-        self._lock = Lock()
         self.nodes = 0
-        self._deadline = (
+        self.deadline = (
             time.monotonic() + budget.time_limit
             if budget.time_limit is not None
             else None
         )
-        self.stopped = False
 
-    def add(self, n: int, enforce: bool = True) -> None:
-        if n:
-            with self._lock:
-                self.nodes += n
-        if not enforce:
-            return
-        if (
-            self.stopped
-            or self.nodes > self.budget.max_nodes
-            or (self._deadline is not None and time.monotonic() > self._deadline)
+    def check(self) -> None:
+        if self.nodes > self.budget.max_nodes or _expired(self.deadline):
+            raise _StopSearch
+
+    def tick(self) -> None:
+        """Count one search node; the clock is read every _CLOCK_EVERY nodes."""
+        self.nodes += 1
+        if self.nodes > self.budget.max_nodes or (
+            not self.nodes % _CLOCK_EVERY and _expired(self.deadline)
         ):
-            self.stopped = True
             raise _StopSearch
 
 
@@ -141,135 +137,79 @@ def degree_bound(graph: Graph) -> int:
     return m
 
 
-class _SearchContext:
-    """Per-(graph, k) immutable data shared by all seed branches."""
-
-    __slots__ = ("n", "k", "full_colors", "adj", "closed_adj")
-
-    def __init__(self, graph: Graph, k: int) -> None:
-        self.n = graph.vertex_count
-        self.k = k
-        self.full_colors = (1 << k) - 1
-        self.adj = tuple(graph.neighbors(v) for v in range(self.n))
-        self.closed_adj = tuple((v,) + self.adj[v] for v in range(self.n))
-
-
-def _witness_viable(
-    ctx: _SearchContext, color: list[int], allowed: list[int], w: int
-) -> bool:
-    """Can w still end up seeing every color? Colored neighbors contribute
-    their color; uncolored ones anything still allowed for them."""
-    vis = 0
-    for u in ctx.closed_adj[w]:
-        c = color[u]
-        vis |= (1 << c) if c >= 0 else allowed[u]
-    return vis == ctx.full_colors
-
-
 def _search_with_seeds(
-    ctx: _SearchContext, seeds: tuple[int, ...], tracker: _BudgetTracker
+    adj: tuple[int, ...], k: int, seeds: tuple[int, ...], tracker: _BudgetTracker
 ) -> list[int] | None:
     """Extend seed colors 0..k-1 on `seeds` to a full coloring where every
-    seed dominates its class; None when this branch is exhausted."""
-    k = ctx.k
-    color = [-1] * ctx.n
-    allowed = [ctx.full_colors] * ctx.n
-    for i, w in enumerate(seeds):
-        color[w] = i
-    for i, w in enumerate(seeds):
-        bit = 1 << i
-        for u in ctx.adj[w]:
-            if color[u] < 0 and allowed[u] & bit:
-                allowed[u] &= ~bit
-                if not allowed[u]:
-                    return None
-    for w in seeds:
-        if not _witness_viable(ctx, color, allowed, w):
-            return None
+    seed dominates its class; None when this branch is exhausted.
 
-    order = [v for v in range(ctx.n) if color[v] < 0]
-    pending = [0]
+    The state is kept per color: colored[c] holds the vertices colored c and
+    allow[c] the uncolored vertices that may still take c. A seed stays
+    viable while its closed neighborhood meets colored[c] | allow[c] for
+    every c.
+    """
+    colored = [1 << w for w in seeds]
+    free = (1 << len(adj)) - 1 - sum(colored)
+    allow = [free & ~adj[w] for w in seeds]
+    if free & ~reduce(or_, allow):
+        return None
+    closed = [adj[w] | (1 << w) for w in seeds]
+    if not all(cw & (colored[c] | allow[c]) for cw in closed for c in range(k)):
+        return None
 
-    max_nodes = tracker.budget.max_nodes
+    order = bit_indices(free)
 
-    def bump() -> None:
-        pending[0] += 1
-        if pending[0] >= _FLUSH_EVERY or tracker.nodes + pending[0] > max_nodes:
-            n, pending[0] = pending[0], 0
-            tracker.add(n)
+    def viable(vbit: int, c: int, hit: int, mine: list[int]) -> bool:
+        """After coloring v with c: no vertex lost its last color and no seed
+        lost a color. Only c (through hit) and, at v, the other colors v
+        allowed became scarcer, and every seed was viable before."""
+        if hit:
+            if hit & ~reduce(or_, allow):
+                return False
+            reach_c = colored[c] | allow[c]
+            if not all(cw & reach_c for cw in closed):
+                return False
+        for cw in closed:
+            if cw & vbit:
+                for d in mine:
+                    if d != c and not cw & (colored[d] | allow[d]):
+                        return False
+        return True
 
     def extend(pos: int) -> bool:
         if pos == len(order):
             return True
         v = order[pos]
-        avail = allowed[v]
-        while avail:
-            bit = avail & -avail
-            avail ^= bit
-            bump()
-            color[v] = bit.bit_length() - 1
-            touched = []
-            dead = False
-            for u in ctx.adj[v]:
-                if color[u] < 0 and allowed[u] & bit:
-                    allowed[u] &= ~bit
-                    touched.append(u)
-                    if not allowed[u]:
-                        dead = True
-                        break
-            if not dead and all(
-                _witness_viable(ctx, color, allowed, w) for w in seeds
-            ):
-                if extend(pos + 1):
-                    return True
-            color[v] = -1
-            for u in touched:
-                allowed[u] |= bit
+        vbit = 1 << v
+        mine = [c for c in range(k) if allow[c] & vbit]
+        for c in mine:
+            tracker.tick()
+            for d in mine:
+                allow[d] ^= vbit
+            colored[c] |= vbit
+            hit = allow[c] & adj[v]
+            allow[c] ^= hit
+            if viable(vbit, c, hit, mine) and extend(pos + 1):
+                return True
+            allow[c] |= hit
+            colored[c] ^= vbit
+            for d in mine:
+                allow[d] |= vbit
         return False
 
-    try:
-        found = extend(0)
-    finally:
-        tracker.add(pending[0], enforce=False)
-    return list(color) if found else None
-
-
-def _first_in_order(
-    items: Iterator[T], fn: Callable[[T], R | None], threads: int
-) -> R | None:
-    """First non-None fn(item) in item order; deterministic regardless of
-    thread count because results are reduced strictly in submission order."""
-    if threads <= 1:
-        for item in items:
-            result = fn(item)
-            if result is not None:
-                return result
+    if not extend(0):
         return None
-    wave = max(2, threads * 2)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        while True:
-            batch = list(islice(items, wave))
-            if not batch:
-                return None
-            futures = [pool.submit(fn, item) for item in batch]
-            outcomes: list[object] = []
-            for f in futures:
-                try:
-                    outcomes.append(f.result())
-                except _StopSearch as exc:
-                    outcomes.append(exc)
-            for out in outcomes:
-                if isinstance(out, _StopSearch):
-                    raise out
-                if out is not None:
-                    return out  # type: ignore[return-value]
+    color = [0] * len(adj)
+    for c, members in enumerate(colored):
+        for v in bit_indices(members):
+            color[v] = c
+    return color
 
 
 def feasible_b_coloring(
     graph: Graph,
     k: int,
     budget: Budget | None = None,
-    threads: int = 1,
     _tracker: _BudgetTracker | None = None,
 ) -> Coloring | None:
     """A verified b-coloring with exactly k colors, or None after exhausting
@@ -284,25 +224,21 @@ def feasible_b_coloring(
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in 1..{n}")
     tracker = _tracker if _tracker is not None else _BudgetTracker(budget or Budget())
-    candidates = [v for v in range(n) if graph.degree(v) >= k - 1]
-    if len(candidates) < k:
-        return None
-    ctx = _SearchContext(graph, k)
-
-    def worker(seeds: tuple[int, ...]) -> list[int] | None:
-        tracker.add(0)  # fast-fail when another worker already stopped us
-        return _search_with_seeds(ctx, seeds, tracker)
-
+    candidates = [v for v, d in enumerate(graph.degrees()) if d >= k - 1]
     try:
-        assignment = _first_in_order(combinations(candidates, k), worker, threads)
+        for seeds in combinations(candidates, k):
+            tracker.check()  # the deadline also bounds root-refuted tuples
+            assignment = _search_with_seeds(graph.masks, k, seeds, tracker)
+            if assignment is not None:
+                break
+        else:
+            return None
     except _StopSearch:
         raise BudgetExceeded(
             f"budget exhausted while testing k={k}",
             tested_k=k,
             nodes_explored=tracker.nodes,
         ) from None
-    if assignment is None:
-        return None
     certificate = Coloring.from_sequence(assignment)
     if certificate.color_count != k:
         raise RuntimeError("internal error: search lost a color class")
@@ -329,11 +265,7 @@ def brute_force_phi(graph: Graph, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> SolveRe
         )
     start = time.perf_counter()
     ub = degree_bound(graph)
-    adj_masks = [0] * n
-    for v in range(n):
-        for u in graph.neighbors(v):
-            adj_masks[v] |= 1 << u
-    closed_masks = [adj_masks[v] | (1 << v) for v in range(n)]
+    adj = graph.masks
 
     colors = [-1] * n
     block_masks: list[int] = []
@@ -348,8 +280,7 @@ def brute_force_phi(graph: Graph, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> SolveRe
             while members:
                 low = members & -members
                 members ^= low
-                v = low.bit_length() - 1
-                cm = closed_masks[v]
+                cm = adj[low.bit_length() - 1] | low
                 if all(cm & other for other in block_masks):
                     ok = True
                     break
@@ -367,7 +298,7 @@ def brute_force_phi(graph: Graph, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> SolveRe
         nodes += 1
         vbit = 1 << v
         for i, bm in enumerate(block_masks):
-            if not bm & adj_masks[v]:
+            if not bm & adj[v]:
                 colors[v] = i
                 block_masks[i] = bm | vbit
                 descend(v + 1)
@@ -399,7 +330,6 @@ def exact_phi(
     graph: Graph,
     upper_hint: int | None = None,
     budget: Budget | None = None,
-    threads: int = 1,
 ) -> SolveResult:
     """Exact b-chromatic number by descending feasibility search.
 
@@ -407,7 +337,8 @@ def exact_phi(
     report when the graph carries Kneser parameters, and upper_hint (trusted;
     an invalid hint below the true value makes the answer wrong). A greedy
     heuristic run seeds the lower end of the bracket; when every k above it
-    is refuted, its certificate is already the optimum.
+    is refuted, its certificate is already the optimum. The time budget
+    covers the heuristic too.
     """
     n = graph.vertex_count
     if n == 0:
@@ -418,7 +349,8 @@ def exact_phi(
         ub = min(ub, best_upper_bound(graph.params).best)
     if upper_hint is not None:
         ub = min(ub, upper_hint)
-    heur = heuristic_b_coloring(graph)
+    tracker = _BudgetTracker(budget or Budget())
+    heur = heuristic_b_coloring(graph, _deadline=tracker.deadline)
     lower, certificate = heur.phi, heur.certificate
     if lower > ub:
         if upper_hint is not None and upper_hint < lower:
@@ -426,11 +358,10 @@ def exact_phi(
                 f"upper hint {upper_hint} lies below a verified lower bound {lower}"
             )
         raise RuntimeError("internal error: heuristic exceeded a sound upper bound")
-    tracker = _BudgetTracker(budget or Budget())
     phi = lower
     for k in range(ub, lower, -1):
         try:
-            found = feasible_b_coloring(graph, k, threads=threads, _tracker=tracker)
+            found = feasible_b_coloring(graph, k, _tracker=tracker)
         except BudgetExceeded:
             raise BudgetExceeded(
                 f"budget exhausted while testing k={k}; phi in [{lower}, {k}]",
@@ -457,7 +388,9 @@ def exact_phi(
     )
 
 
-def heuristic_b_coloring(graph: Graph) -> SolveResult:
+def heuristic_b_coloring(
+    graph: Graph, _deadline: float | None = None
+) -> SolveResult:
     """Greedy lower-bound certificate; always returns a verified b-coloring.
 
     Two phases: (1) a guaranteed fallback that takes a largest-first proper
@@ -466,7 +399,8 @@ def heuristic_b_coloring(graph: Graph) -> SolveResult:
     pairwise non-adjacent, so the class always empties and the color count
     drops by one; properness is preserved throughout); (2) seeded greedy
     attempts for each larger k, with a bounded single-vertex repair pass,
-    kept only if the verifier accepts the result.
+    kept only if the verifier accepts the result. Phase 2 starts no further
+    attempt once the monotonic-clock _deadline has passed.
     """
     n = graph.vertex_count
     if n == 0:
@@ -476,6 +410,8 @@ def heuristic_b_coloring(graph: Graph) -> SolveResult:
     base = _eliminate_undominated(graph, _greedy_proper(graph, steps), steps)
     best = base
     for k in range(degree_bound(graph), base.color_count, -1):
+        if _expired(_deadline):
+            break
         attempt = _seeded_greedy(graph, k, steps)
         if attempt is not None:
             best = attempt
@@ -491,17 +427,23 @@ def heuristic_b_coloring(graph: Graph) -> SolveResult:
     )
 
 
+def _largest_first(adj: tuple[int, ...]) -> list[int]:
+    return sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count(), v))
+
+
 def _greedy_proper(graph: Graph, steps: list[int]) -> list[int]:
     """Largest-first greedy proper coloring (ties by vertex index)."""
-    n = graph.vertex_count
-    order = sorted(range(n), key=lambda v: (-graph.degree(v), v))
-    colors = [-1] * n
-    for v in order:
+    adj = graph.masks
+    colors = [-1] * len(adj)
+    classes: list[int] = []
+    for v in _largest_first(adj):
         steps[0] += 1
-        used = {colors[u] for u in graph.neighbors(v) if colors[u] >= 0}
         c = 0
-        while c in used:
+        while c < len(classes) and adj[v] & classes[c]:
             c += 1
+        if c == len(classes):
+            classes.append(0)
+        classes[c] |= 1 << v
         colors[v] = c
     return colors
 
@@ -510,6 +452,7 @@ def _eliminate_undominated(
     graph: Graph, colors: list[int], steps: list[int]
 ) -> Coloring:
     """Recolor away undominated classes until the coloring is a b-coloring."""
+    adj = graph.masks
     rounds = max(c for c in colors) + 2
     for _ in range(rounds):
         coloring = Coloring.from_sequence(colors)
@@ -519,38 +462,43 @@ def _eliminate_undominated(
         if verdict.reason is not BColoringFailure.MISSING_DOMINATING_VERTEX:
             raise RuntimeError("internal error: base coloring lost properness")
         colors = list(coloring.colors)
-        count = coloring.color_count
+        classes = class_masks(colors, coloring.color_count)
         failing = verdict.failing_color
-        for v in [v for v in range(len(colors)) if colors[v] == failing]:
+        for v in bit_indices(classes[failing]):
             steps[0] += 1
-            seen = {colors[u] for u in graph.closed_neighbors(v)}
-            missing = [c for c in range(count) if c not in seen]
-            if not missing:
+            closed = adj[v] | (1 << v)
+            missing = next((c for c, cm in enumerate(classes) if not closed & cm), None)
+            if missing is None:
                 break  # class became dominated; re-verify from the top
-            colors[v] = missing[0]
+            classes[failing] ^= 1 << v
+            classes[missing] |= 1 << v
+            colors[v] = missing
     raise RuntimeError("internal error: undominated-class elimination diverged")
 
 
 def _seeded_greedy(graph: Graph, k: int, steps: list[int]) -> Coloring | None:
     """One greedy attempt at a k-color b-coloring; None when it fails."""
-    n = graph.vertex_count
-    order = sorted(range(n), key=lambda v: (-graph.degree(v), v))
-    seeds = [v for v in order if graph.degree(v) >= k - 1][:k]
+    adj = graph.masks
+    order = _largest_first(adj)
+    seeds = [v for v in order if adj[v].bit_count() >= k - 1][:k]
     if len(seeds) < k:
         return None
-    colors = [-1] * n
+    colors = [-1] * len(adj)
+    classes = [1 << w for w in seeds]
     for i, w in enumerate(seeds):
         colors[w] = i
-    seed_set = set(seeds)
+    seed_closed = [adj[w] | (1 << w) for w in seeds]
     for v in order:
-        if v in seed_set:
+        if colors[v] >= 0:
             continue
         steps[0] += 1
-        used = {colors[u] for u in graph.neighbors(v) if colors[u] >= 0}
-        avail = [c for c in range(k) if c not in used]
+        avail = [c for c in range(k) if not adj[v] & classes[c]]
         if not avail:
             return None
-        colors[v] = max(avail, key=lambda c: (_seed_gain(graph, colors, seeds, v, c), -c))
+        near = [cw for cw in seed_closed if cw >> v & 1]
+        c = max(avail, key=lambda c: (_seed_gain(near, classes[c]), -c))
+        colors[v] = c
+        classes[c] |= 1 << v
     for _ in range(k + 1):
         coloring = Coloring.from_sequence(colors)
         verdict = is_b_coloring(graph, coloring)
@@ -565,18 +513,10 @@ def _seeded_greedy(graph: Graph, k: int, steps: list[int]) -> Coloring | None:
     return None
 
 
-def _seed_gain(
-    graph: Graph, colors: list[int], seeds: list[int], v: int, c: int
-) -> int:
-    """How many seed neighborhoods would gain a still-missing color c from v."""
-    gain = 0
-    for w in seeds:
-        if v not in graph.neighbor_set(w):
-            continue
-        seen = {colors[u] for u in graph.closed_neighbors(w) if colors[u] >= 0}
-        if c not in seen:
-            gain += 1
-    return gain
+def _seed_gain(near: list[int], members: int) -> int:
+    """How many of the closed seed neighborhoods `near` (those holding the
+    vertex being colored) still miss the class `members`."""
+    return sum(1 for cw in near if not cw & members)
 
 
 def _repair_class(
@@ -584,21 +524,22 @@ def _repair_class(
 ) -> bool:
     """Move one vertex so a candidate witness of the failing class gains a
     missing color; True when a move was made (validity is re-checked later)."""
-    n = graph.vertex_count
-    for w in range(n):
-        if colors[w] != failing or graph.degree(w) < k - 1:
+    adj = graph.masks
+    classes = class_masks(colors, k)
+    for w in bit_indices(classes[failing]):
+        if adj[w].bit_count() < k - 1:
             continue
-        seen = {colors[u] for u in graph.closed_neighbors(w)}
-        missing = sorted(set(range(k)) - seen)
+        closed = adj[w] | (1 << w)
+        missing = [c for c in range(k) if not closed & classes[c]]
         if not missing:
             return True  # w already dominates; verifier will confirm
+        nbrs = bit_indices(adj[w])
         for c in missing:
-            for u in graph.neighbors(w):
+            for u in nbrs:
                 steps[0] += 1
-                old = colors[u]
-                if sum(1 for x in range(n) if colors[x] == old) <= 1:
+                if classes[colors[u]].bit_count() <= 1:
                     continue
-                if any(colors[y] == c for y in graph.neighbors(u)):
+                if adj[u] & classes[c]:
                     continue
                 colors[u] = c
                 return True

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +19,14 @@ from bkneser.formats import (
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET = 0, 1, 2, 3
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
 def run_cli(args, cwd, env=None):
+    """Run `python -m bkneser` in cwd, importing the package from this tree
+    whatever the working directory."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     cmd = [sys.executable, "-m", "bkneser", *args]
     return subprocess.run(
         cmd, cwd=cwd, env=env, capture_output=True, text=True, timeout=300
@@ -165,8 +174,6 @@ class TestSolveCli:
         assert payload["bracket"]["upper"] == 4
 
     def test_env_budget_override_and_flag_precedence(self, tmp_path):
-        import os
-
         env = dict(os.environ, BKNESER_NODE_BUDGET="3")
         proc = run_cli(["solve", "2", "1", "--format", "json"], cwd=tmp_path, env=env)
         assert proc.returncode == EXIT_BUDGET
@@ -433,3 +440,27 @@ class TestUsageErrors:
     def test_solve_three_targets(self, tmp_path):
         proc = run_cli(["solve", "1", "2", "3"], cwd=tmp_path)
         assert proc.returncode == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "args,env,message",
+        [
+            (["--budget-nodes", "0"], {}, "--budget-nodes"),
+            (["--budget-nodes", "-5"], {}, "--budget-nodes"),
+            ([], {"BKNESER_NODE_BUDGET": "0"}, "BKNESER_NODE_BUDGET"),
+            (["--brute-cap", "0"], {}, "--brute-cap"),
+            ([], {"BKNESER_BRUTE_CAP": "0"}, "BKNESER_BRUTE_CAP"),
+            (["--budget-seconds", "-1"], {}, "--budget-seconds"),
+            ([], {"BKNESER_TIME_BUDGET": "-0.5"}, "BKNESER_TIME_BUDGET"),
+            ([], {"BKNESER_NODE_BUDGET": "many"}, "BKNESER_NODE_BUDGET"),
+            (["--threads", "2"], {}, "--threads"),
+            (["--seed", "1"], {}, "--seed"),
+        ],
+    )
+    def test_solve_rejects_bad_budgets_and_removed_flags(
+        self, tmp_path, args, env, message
+    ):
+        proc = run_cli(
+            ["solve", "2", "1", *args], cwd=tmp_path, env=dict(os.environ, **env)
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert message in proc.stderr

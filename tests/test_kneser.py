@@ -197,6 +197,15 @@ class TestBuildGraph:
                 for u in g.neighbors(v):
                     assert g.has_edge(u, v)
                     assert u != v
+            if g.vertex_count > 1000:
+                continue  # the every-pair checks below are quadratic
+            bits = [s.bits for s in g.subsets]
+            for u, a in enumerate(bits):
+                assert [g.has_edge(u, v) for v in range(len(bits))] == [
+                    not a & b for b in bits
+                ]
+            reference = kneser_edges(kneser_vertices(params.ground_size, n))
+            assert list(g.edges()) == sorted(reference)
 
     def test_larger_spot_checks(self):
         # complete graph K_64 (boundary ground set) and a 560-vertex instance
@@ -232,10 +241,18 @@ def test_degree_regularity(params, expected):
 def test_graph_rejects_asymmetric_adjacency():
     from bkneser import Graph
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="symmetric"):
         Graph([[1], []])
-    with pytest.raises(ValueError):
-        Graph([[0]])  # self-loop
+    with pytest.raises(ValueError, match="self-loop"):
+        Graph([[0]])
+    with pytest.raises(ValueError, match="out of range"):
+        Graph([[1], [0, 2]])
+    with pytest.raises(ValueError, match="out of range"):
+        Graph([[-1], []])
+    with pytest.raises(ValueError, match="out of range"):
+        Graph.from_edges(2, [(0, 2)])
+    with pytest.raises(ValueError, match="out of range"):
+        Graph.from_edges(2, [(-1, 1)])
 
 
 @settings(max_examples=30)

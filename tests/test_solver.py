@@ -18,6 +18,7 @@ from bkneser import (
 
 from oracles import adjacency_sets, naive_feasible_k, naive_phi
 from bkneser.reproduce import erdos_renyi_graph
+from bkneser.solver import _eliminate_undominated, _greedy_proper
 
 
 class TestDegreeBound:
@@ -125,10 +126,6 @@ class TestFeasible:
                     assert got.color_count == k
                     assert is_b_coloring(g, got).valid
 
-    def test_budget_with_threads_still_raises(self, petersen):
-        with pytest.raises(BudgetExceeded):
-            feasible_b_coloring(petersen, 3, budget=Budget(max_nodes=1), threads=3)
-
 
 class TestExactPhi:
     def test_petersen(self, petersen_exact, petersen_brute):
@@ -179,6 +176,18 @@ class TestExactPhi:
         with pytest.raises(BudgetExceeded):
             exact_phi(petersen, budget=Budget(time_limit=0.0))
 
+    # KG(7,3): the heuristic's seeded phase lifts 3 colors to 5; KG(14,2)
+    @pytest.mark.parametrize("params", [KneserParams(3, 1), KneserParams(2, 10)])
+    def test_time_budget_covers_heuristic(self, params):
+        g = build_graph(params)
+        fallback = _eliminate_undominated(g, _greedy_proper(g, [0]), [0])
+        with pytest.raises(BudgetExceeded) as info:
+            exact_phi(g, budget=Budget(time_limit=0.0))
+        exc = info.value
+        assert exc.lower_bound == fallback.color_count
+        assert exc.nodes_explored == 0
+        assert is_b_coloring(g, exc.certificate).valid
+
 
 class TestDeterminism:
     def test_repeat_runs_identical(self, petersen):
@@ -187,20 +196,6 @@ class TestDeterminism:
         assert a.phi == b.phi
         assert a.certificate == b.certificate
         assert a.infeasible_at == b.infeasible_at
-
-    @pytest.mark.parametrize("threads", [2, 4])
-    def test_thread_count_invariance(self, petersen, threads):
-        base = exact_phi(petersen)
-        multi = exact_phi(petersen, threads=threads)
-        assert multi.phi == base.phi
-        assert multi.certificate == base.certificate
-
-    def test_thread_count_invariance_random(self):
-        for seed in range(5):
-            g = erdos_renyi_graph(8, 0.5, 600 + seed)
-            base = exact_phi(g)
-            multi = exact_phi(g, threads=3)
-            assert (multi.phi, multi.certificate) == (base.phi, base.certificate)
 
 
 class TestHeuristic:
