@@ -8,16 +8,17 @@ edge list must match exactly.
 
 from __future__ import annotations
 
+import io
 import json
 import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from .bcoloring import Coloring, ProofAnalysis
 from .bounds import BoundsReport, ScanRow
-from .kneser import Graph, KneserParams, build_graph
+from .kneser import Graph, KneserParams, bit_indices, build_graph
 
 _KNESER_COMMENT = re.compile(r"^c\s+kneser\s+n=(\d+)\s+k=(\d+)\s*$")
 
@@ -46,21 +47,30 @@ def fraction_json(f: Fraction) -> dict[str, str]:
 # graphs
 
 
-def dimacs_dumps(graph: Graph) -> str:
-    lines = []
+def _dimacs_pieces(graph: Graph) -> Iterator[str]:
     if graph.params is not None:
-        lines.append(f"c kneser n={graph.params.n} k={graph.params.k}")
-    lines.append(f"p edge {graph.vertex_count} {graph.edge_count}")
-    for u, v in graph.edges():
-        lines.append(f"e {u + 1} {v + 1}")
-    return "\n".join(lines) + "\n"
+        yield f"c kneser n={graph.params.n} k={graph.params.k}\n"
+    yield f"p edge {graph.vertex_count} {graph.edge_count}\n"
+    # one piece per vertex v: its edges to higher neighbors, as in edges()
+    for v, m in enumerate(graph.masks):
+        head = f"e {v + 1} "
+        yield "".join([f"{head}{v + 2 + u}\n" for u in bit_indices(m >> (v + 1))])
+
+
+def dimacs_dumps(graph: Graph) -> str:
+    return "".join(_dimacs_pieces(graph))
 
 
 def dimacs_loads(text: str) -> Graph:
+    """Parse a DIMACS edge file, folding each edge into per-vertex masks as
+    it is read; the `p` line may come anywhere."""
     declared: tuple[int, int] | None = None
     params: KneserParams | None = None
-    edges: list[tuple[int, int]] = []
-    for raw in text.splitlines():
+    masks: list[int] = []
+    # edges read before the p line, or past its vertex count
+    unplaced: list[tuple[int, int]] = []
+    top = -1
+    for raw in io.StringIO(text, newline=None):
         line = raw.strip()
         if not line:
             continue
@@ -74,6 +84,13 @@ def dimacs_loads(text: str) -> Graph:
             if len(parts) != 4 or parts[1] != "edge":
                 raise ValueError(f"malformed problem line: {line!r}")
             declared = (int(parts[2]), int(parts[3]))
+            del masks[max(declared[0], 0):]
+            masks.extend([0] * (declared[0] - len(masks)))
+            for u, v in unplaced:
+                if v < declared[0]:
+                    masks[u] |= 1 << v
+                    masks[v] |= 1 << u
+            unplaced = [(u, v) for u, v in unplaced if v >= declared[0]]
             continue
         if line.startswith("e"):
             parts = line.split()
@@ -82,12 +99,20 @@ def dimacs_loads(text: str) -> Graph:
             u, v = int(parts[1]), int(parts[2])
             if u == v or u < 1 or v < 1:
                 raise ValueError(f"invalid edge {u} {v}")
-            edges.append((min(u, v) - 1, max(u, v) - 1))
+            u, v = min(u, v) - 1, max(u, v) - 1
+            if v > top:
+                top = v
+            if v < len(masks):
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+            else:
+                unplaced.append((u, v))
             continue
         raise ValueError(f"unrecognized DIMACS line: {line!r}")
     if declared is None:
         raise ValueError("missing 'p edge' header")
-    return _assemble(declared[0], declared[1], edges, params)
+    _check_endpoints(top, declared[0])
+    return _assemble(Graph._from_masks(masks), declared[1], params)
 
 
 def graph_json_dict(graph: Graph) -> dict[str, Any]:
@@ -110,20 +135,21 @@ def graph_from_json_dict(data: dict[str, Any]) -> Graph:
     params = None
     if data.get("params") is not None:
         params = KneserParams(int(data["params"]["n"]), int(data["params"]["k"]))
+    vertex_count = int(data["vertex_count"])
     edges = [(min(u, v) - 1, max(u, v) - 1) for u, v in data["edges"]]
-    return _assemble(int(data["vertex_count"]), len(data["edges"]), edges, params)
+    _check_endpoints(max((v for _, v in edges), default=-1), vertex_count)
+    return _assemble(Graph.from_edges(vertex_count, edges), len(edges), params)
 
 
-def _assemble(
-    vertex_count: int,
-    declared_edges: int,
-    edges: list[tuple[int, int]],
-    params: KneserParams | None,
-) -> Graph:
-    top = max((v for _, v in edges), default=-1)
+def _check_endpoints(top: int, vertex_count: int) -> None:
+    """Reject a file whose largest (0-indexed) endpoint `top` is out of range."""
     if top >= vertex_count:
         raise ValueError(f"edge endpoint {top + 1} exceeds vertex count")
-    graph = Graph.from_edges(vertex_count, edges)
+
+
+def _assemble(graph: Graph, declared_edges: int, params: KneserParams | None) -> Graph:
+    """The graph read from a file, checked against its declared edge count
+    and its Kneser tag."""
     if graph.edge_count != declared_edges:
         raise ValueError(
             f"edge count mismatch: declared {declared_edges}, found {graph.edge_count}"
@@ -141,7 +167,8 @@ def _assemble(
 def write_graph(path: str | Path, graph: Graph, fmt: str = "dimacs") -> None:
     path = Path(path)
     if fmt == "dimacs":
-        path.write_text(dimacs_dumps(graph))
+        with path.open("w") as out:
+            out.writelines(_dimacs_pieces(graph))
     elif fmt == "json":
         path.write_text(json.dumps(graph_json_dict(graph), indent=2) + "\n")
     else:

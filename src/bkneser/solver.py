@@ -7,10 +7,32 @@ is refuted exhaustively). Feasibility search seeds k candidate dominating
 vertices with distinct colors and extends by backtracking with forward
 checking on properness and on each seed retaining a path to domination.
 
-Completeness of the seeding: any b-coloring with k colors has, per class, a
-minimum-index dominating vertex; sorting those k vertices and renaming colors
-to match their order yields an equivalent coloring found by exactly one seed
-combination. Refuting every combination therefore refutes k.
+Completeness of the seeding: a dominator system of a k-color b-coloring is a
+set of k vertices, one dominating vertex from each class. The search from a
+seed tuple prunes only on properness and on each seed keeping a way to see
+every color, so it finds any coloring in which its seeds form a dominator
+system, whichever dominating vertex each class contributes. On a plain graph
+the seed tuples are all k-subsets of the vertices of degree >= k-1, so
+refuting every tuple refutes k.
+
+On a Kneser graph (one carrying both `params` and `subsets`) the tuples are
+cut by orbital branching (Ostrowski, Linderoth, Rossi & Smriglio, Math.
+Programming 126, 2011). Let S_0 be the subset of vertex 0 and, for
+t = 0..n-1, let O_t be the vertices y with |S_y & S_0| = t and r_t the
+least-index vertex of O_t. For a tuple containing 0, let t* be the least
+|S_y & S_0| over its other vertices y; the tuple is kept when it also
+contains r_{t*}. For k = 1 the only tuple is (0,). Branch t of the orbital
+tree holds the kept tuples with t* = t. This loses no coloring:
+- The symmetric group on the ground set acts on the graph by automorphisms,
+  and transitively on its vertices. Given a b-coloring with dominator system
+  D, some automorphism s maps an element of D to 0, and s(D) is a dominator
+  system of the mapped coloring.
+- Let t* be the least |S_y & S_0| over the other elements y of s(D). The
+  stabilizer of vertex 0 permutes S_0 and its complement separately, so its
+  orbits on the other vertices are exactly O_0..O_{n-1}; some u in it maps
+  one such y to r_{t*}.
+- u keeps every intersection size with S_0, so us(D) contains 0 and r_{t*}
+  and its least intersection size is still t*: it is a kept tuple.
 
 The brute-force oracle is an independent check: it enumerates canonical
 colorings (restricted-growth strings, pruned only by properness) and tests
@@ -19,11 +41,13 @@ domination at the leaves, with no shared search machinery.
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
-from operator import or_
+from operator import and_, or_
+from typing import Iterator
 
 from .bcoloring import BColoringFailure, Coloring, class_masks, is_b_coloring
 from .bounds import best_upper_bound
@@ -206,6 +230,39 @@ def _search_with_seeds(
     return color
 
 
+def _seed_tuples(graph: Graph, k: int) -> Iterator[tuple[int, ...]]:
+    """The seed tuples, ascending within each, whose refutation refutes k
+    colors: every k-subset of the vertices of degree >= k-1, cut on Kneser
+    graphs to the kept tuples of the module docstring."""
+    candidates = [v for v, d in enumerate(graph.degrees()) if d >= k - 1]
+    if graph.params is None or graph.subsets is None:
+        yield from combinations(candidates, k)
+        return
+    if not candidates or candidates[0] != 0:  # regular: all or none
+        return
+    if k == 1:
+        yield (0,)
+        return
+
+    def branch(rep: int, others: list[int]) -> Iterator[tuple[int, ...]]:
+        for tail in combinations(others, k - 2):
+            yield tuple(sorted((0, rep, *tail)))
+
+    base = graph.subsets[0].bits
+    meet = [(s.bits & base).bit_count() for s in graph.subsets]
+    rest = candidates[1:]
+    branches = []
+    for t in range(graph.params.n):
+        rep = next((v for v in rest if meet[v] == t), None)
+        if rep is not None:
+            branches.append(branch(rep, [v for v in rest if v != rep]))
+            rest = [v for v in rest if meet[v] != t]
+    # Merged into the lexicographic order of the unreduced search, so the
+    # search reaches each kept tuple after no more nodes than the unreduced
+    # one does; the order changes no refutation count.
+    yield from heapq.merge(*branches)
+
+
 def feasible_b_coloring(
     graph: Graph,
     k: int,
@@ -213,7 +270,7 @@ def feasible_b_coloring(
     _tracker: _BudgetTracker | None = None,
 ) -> Coloring | None:
     """A verified b-coloring with exactly k colors, or None after exhausting
-    every seed combination (a proof of infeasibility).
+    every seed tuple (a proof of infeasibility).
 
     Raises BudgetExceeded when the node or time budget runs out, which is
     distinct from infeasibility.
@@ -224,9 +281,8 @@ def feasible_b_coloring(
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in 1..{n}")
     tracker = _tracker if _tracker is not None else _BudgetTracker(budget or Budget())
-    candidates = [v for v, d in enumerate(graph.degrees()) if d >= k - 1]
     try:
-        for seeds in combinations(candidates, k):
+        for seeds in _seed_tuples(graph, k):
             tracker.check()  # the deadline also bounds root-refuted tuples
             assignment = _search_with_seeds(graph.masks, k, seeds, tracker)
             if assignment is not None:
@@ -269,24 +325,16 @@ def brute_force_phi(graph: Graph, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> SolveRe
 
     colors = [-1] * n
     block_masks: list[int] = []
+    # reach[i]: vertices whose closed neighborhood meets block i
+    reach: list[int] = []
     found: dict[int, tuple[int, ...]] = {}
     nodes = 0
 
     def dominated_everywhere() -> bool:
-        blocks = len(block_masks)
-        for bm in block_masks:
-            members = bm
-            ok = False
-            while members:
-                low = members & -members
-                members ^= low
-                cm = adj[low.bit_length() - 1] | low
-                if all(cm & other for other in block_masks):
-                    ok = True
-                    break
-            if not ok:
-                return False
-        return blocks > 0
+        """Every block holds a vertex whose closed neighborhood meets every
+        block, i.e. meets the AND of all reach masks."""
+        dom = reduce(and_, reach)
+        return all(bm & dom for bm in block_masks)
 
     def descend(v: int) -> None:
         nonlocal nodes
@@ -297,16 +345,22 @@ def brute_force_phi(graph: Graph, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> SolveRe
             return
         nodes += 1
         vbit = 1 << v
+        closed = adj[v] | vbit
         for i, bm in enumerate(block_masks):
             if not bm & adj[v]:
                 colors[v] = i
                 block_masks[i] = bm | vbit
+                seen = reach[i]
+                reach[i] = seen | closed
                 descend(v + 1)
+                reach[i] = seen
                 block_masks[i] = bm
         if len(block_masks) < ub:
             colors[v] = len(block_masks)
             block_masks.append(vbit)
+            reach.append(closed)
             descend(v + 1)
+            reach.pop()
             block_masks.pop()
         colors[v] = -1
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -61,6 +62,29 @@ class TestFormats:
         with pytest.raises(ValueError, match="mismatch"):
             dimacs_loads("p edge 3 2\ne 1 2\n")
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            # the largest out-of-range endpoint, ahead of the count mismatch
+            ("p edge 3 9\ne 1 4\ne 2 5\ne 1 2\n", "edge endpoint 5 exceeds vertex count"),
+            ("e 5 1\np edge 3 1\n", "edge endpoint 5 exceeds vertex count"),
+            ("p edge 3 2\ne 1 2\n", "edge count mismatch: declared 2, found 1"),
+            ("p edge 3 2\ne 1 2\ne 2 1\n", "edge count mismatch: declared 2, found 1"),
+            (
+                "c kneser n=2 k=1\np edge 10 1\ne 1 2\n",
+                "edge list does not match kneser n=2 k=1",
+            ),
+        ],
+        ids=["bad-endpoint", "endpoint-before-p", "count", "duplicate", "kneser"],
+    )
+    def test_dimacs_rejects(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dimacs_loads(text)
+
+    def test_dimacs_edges_before_problem_line(self):
+        g = dimacs_loads("e 2 3\nc note\ne 1 2\np edge 3 2\n")
+        assert list(g.edges()) == [(0, 1), (1, 2)]
+
     def test_json_roundtrip(self, matching6):
         doc = graph_json_dict(matching6)
         parsed = graph_from_json_dict(doc)
@@ -93,7 +117,9 @@ class TestGen:
     def test_roundtrip_matches_build(self, tmp_path, petersen):
         out = tmp_path / "petersen.col"
         run_cli(["gen", "2", "1", "--out", str(out)], cwd=tmp_path)
-        parsed = dimacs_loads(out.read_text())
+        text = out.read_text()
+        assert text == dimacs_dumps(petersen)
+        parsed = dimacs_loads(text)
         assert list(parsed.edges()) == list(petersen.edges())
 
     def test_json_format(self, tmp_path):

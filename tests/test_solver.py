@@ -1,4 +1,10 @@
+import json
+from importlib import resources
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bkneser import (
     Budget,
@@ -18,7 +24,28 @@ from bkneser import (
 
 from oracles import adjacency_sets, naive_feasible_k, naive_phi
 from bkneser.reproduce import erdos_renyi_graph
-from bkneser.solver import _eliminate_undominated, _greedy_proper
+from bkneser.formats import certificate_from_dict
+from bkneser.solver import (
+    _BudgetTracker,
+    _eliminate_undominated,
+    _greedy_proper,
+    _seed_tuples,
+)
+
+# Kneser instances whose unreduced search settles every k within seconds:
+# KG(k+2, 1) = K_{k+2}, KG(4,2), KG(5,2), KG(6,2), KG(6,3) and KG(7,3).
+SMALL_KNESER = [KneserParams(1, k) for k in range(5)] + [
+    KneserParams(2, 0),
+    KneserParams(2, 1),
+    KneserParams(2, 2),
+    KneserParams(3, 0),
+    KneserParams(3, 1),
+]
+
+
+def _stripped(g):
+    """The same graph without its Kneser labels: the unreduced search."""
+    return Graph.from_edges(g.vertex_count, g.edges())
 
 
 class TestDegreeBound:
@@ -125,6 +152,66 @@ class TestFeasible:
                 if got is not None:
                     assert got.color_count == k
                     assert is_b_coloring(g, got).valid
+
+
+class TestKneserReduction:
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(SMALL_KNESER))
+    def test_reduced_matches_unreduced(self, params):
+        kg = build_graph(params)
+        plain = _stripped(kg)
+        ub = min(degree_bound(kg), best_upper_bound(params).best)
+        for m in range(1, ub + 1):
+            reduced = feasible_b_coloring(kg, m)
+            assert (reduced is None) == (feasible_b_coloring(plain, m) is None), m
+            if reduced is not None:
+                assert is_b_coloring(kg, reduced).valid
+
+    @pytest.mark.parametrize(
+        "params", [KneserParams(2, 1), KneserParams(2, 2), KneserParams(3, 1)]
+    )
+    def test_seed_tuples_follow_definition(self, params):
+        # kept: 0 and r_t for the least intersection size t of the others,
+        # listed in the lexicographic order of the unreduced search
+        kg = build_graph(params)
+        base = kg.subsets[0].bits
+        meet = [(s.bits & base).bit_count() for s in kg.subsets]
+        first = {}
+        for v in range(kg.vertex_count - 1, 0, -1):
+            first[meet[v]] = v
+        for m in range(1, kg.degree(0) + 2):
+            expected = [
+                c
+                for c in combinations(range(kg.vertex_count), m)
+                if c[0] == 0 and (m == 1 or first[min(meet[v] for v in c[1:])] in c)
+            ]
+            assert list(_seed_tuples(kg, m)) == expected, m
+        assert list(_seed_tuples(kg, kg.degree(0) + 2)) == []
+        assert list(_seed_tuples(_stripped(kg), 2)) == list(
+            combinations(range(kg.vertex_count), 2)
+        )
+
+    def test_reduction_halves_refutation_nodes(self):
+        kg = build_graph(KneserParams(2, 2))  # KG(6,2): 7 colors are refuted
+        nodes = []
+        for g in (kg, _stripped(kg)):
+            tracker = _BudgetTracker(Budget())
+            assert feasible_b_coloring(g, 7, _tracker=tracker) is None
+            nodes.append(tracker.nodes)
+        assert 2 * nodes[0] < nodes[1]
+
+    def test_exact_matches_oracle_on_kg62(self):
+        kg = build_graph(KneserParams(2, 2))
+        exact, brute = exact_phi(kg), brute_force_phi(kg, cap=15)
+        assert exact.phi == brute.phi == 6
+        assert exact.infeasible_at == brute.infeasible_at == (7,)
+
+    def test_committed_kg72_certificate(self):
+        doc = resources.files("bkneser.data").joinpath("kg_2_3_phi7.json").read_text()
+        coloring, params, claimed = certificate_from_dict(json.loads(doc))
+        assert params == KneserParams(2, 3) and claimed
+        assert coloring.color_count == 7
+        assert is_b_coloring(build_graph(params), coloring).valid
 
 
 class TestExactPhi:
