@@ -7,7 +7,8 @@ optional structure analysis), reproduce (run a named verification suite).
 Exit codes: 0 success or valid; 1 invalid certificate or failed suite;
 2 usage or input error; 3 budget-limited bracket. Budgets can also be set via
 BKNESER_NODE_BUDGET, BKNESER_TIME_BUDGET and BKNESER_BRUTE_CAP; flags win.
-Node budgets and brute caps below 1 and negative time budgets exit 2.
+Node budgets and brute caps below 1 and negative time budgets exit 2, and so
+does a budget flag the chosen solve mode does not read (_MODE_FLAGS).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from pathlib import Path
 from typing import Any
 
@@ -227,7 +229,27 @@ def _parse_solve_target(args: argparse.Namespace):
     raise ValueError("solve target must be a file or two integers n k")
 
 
+# the budget flags each solve mode reads; any other one is an input error
+_MODE_FLAGS = {
+    "exact": ("--budget-nodes", "--budget-seconds"),
+    "brute": ("--brute-cap",),
+    "heuristic": ("--budget-seconds",),
+}
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
+    given = {
+        "--budget-nodes": args.budget_nodes,
+        "--budget-seconds": args.budget_seconds,
+        "--brute-cap": args.brute_cap,
+    }
+    reads = _MODE_FLAGS[args.mode]
+    for flag, value in given.items():
+        if value is not None and flag not in reads:
+            raise ValueError(
+                f"{flag} does not apply to --mode {args.mode}, "
+                f"which reads only {' and '.join(reads)}"
+            )
     nodes = _setting(
         args.budget_nodes, "--budget-nodes", ENV_NODE_BUDGET, int, DEFAULT_NODE_BUDGET, 1
     )
@@ -249,7 +271,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         elif args.mode == "brute":
             result = brute_force_phi(graph, cap=brute_cap)
         else:
-            result = heuristic_b_coloring(graph)
+            deadline = None if seconds is None else time.monotonic() + seconds
+            result = heuristic_b_coloring(graph, deadline=deadline)
     except BudgetExceeded as exc:
         payload = {
             "config": cfg,

@@ -115,7 +115,8 @@ def dimacs_loads(text: str) -> Graph:
     return _assemble(Graph._from_masks(masks), declared[1], params)
 
 
-def graph_json_dict(graph: Graph) -> dict[str, Any]:
+def _graph_json_head(graph: Graph) -> dict[str, Any]:
+    """graph_json_dict(graph) with an empty edge list."""
     return {
         "format": "kneser-graph",
         "version": 1,
@@ -125,8 +126,32 @@ def graph_json_dict(graph: Graph) -> dict[str, Any]:
             else None
         ),
         "vertex_count": graph.vertex_count,
-        "edges": [[u + 1, v + 1] for u, v in graph.edges()],
+        "edges": [],
     }
+
+
+def graph_json_dict(graph: Graph) -> dict[str, Any]:
+    doc = _graph_json_head(graph)
+    doc["edges"] = [[u + 1, v + 1] for u, v in graph.edges()]
+    return doc
+
+
+def _json_pieces(graph: Graph) -> Iterator[str]:
+    """json.dumps(graph_json_dict(graph), indent=2) + "\n", in one piece per
+    vertex instead of one string holding every edge."""
+    head = json.dumps(_graph_json_head(graph), indent=2)
+    if not graph.edge_count:
+        yield head + "\n"
+        return
+    yield head[: -len("[]\n}")] + "["  # the empty edge list, reopened
+    sep = "\n"
+    for v, m in enumerate(graph.masks):
+        higher = bit_indices(m >> (v + 1))
+        if higher:
+            lead = f"    [\n      {v + 1},\n      "
+            yield sep + ",\n".join([f"{lead}{v + 2 + u}\n    ]" for u in higher])
+            sep = ",\n"
+    yield "\n  ]\n}\n"
 
 
 def graph_from_json_dict(data: dict[str, Any]) -> Graph:
@@ -170,7 +195,8 @@ def write_graph(path: str | Path, graph: Graph, fmt: str = "dimacs") -> None:
         with path.open("w") as out:
             out.writelines(_dimacs_pieces(graph))
     elif fmt == "json":
-        path.write_text(json.dumps(graph_json_dict(graph), indent=2) + "\n")
+        with path.open("w") as out:
+            out.writelines(_json_pieces(graph))
     else:
         raise ValueError(f"unknown graph format: {fmt}")
 

@@ -101,7 +101,8 @@ def _expired(deadline: float | None) -> bool:
 
 
 class _BudgetTracker:
-    """Node and time accounting for one solve."""
+    """Node and time accounting for one solve. The search counts its nodes
+    into `nodes` itself and reads the clock every _CLOCK_EVERY nodes."""
 
     def __init__(self, budget: Budget) -> None:
         self.budget = budget
@@ -114,14 +115,6 @@ class _BudgetTracker:
 
     def check(self) -> None:
         if self.nodes > self.budget.max_nodes or _expired(self.deadline):
-            raise _StopSearch
-
-    def tick(self) -> None:
-        """Count one search node; the clock is read every _CLOCK_EVERY nodes."""
-        self.nodes += 1
-        if self.nodes > self.budget.max_nodes or (
-            not self.nodes % _CLOCK_EVERY and _expired(self.deadline)
-        ):
             raise _StopSearch
 
 
@@ -178,42 +171,60 @@ def _search_with_seeds(
     if free & ~reduce(or_, allow):
         return None
     closed = [adj[w] | (1 << w) for w in seeds]
-    if not all(cw & (colored[c] | allow[c]) for cw in closed for c in range(k)):
-        return None
+    for c in range(k):
+        reach_c = colored[c] | allow[c]
+        for cw in closed:
+            if not cw & reach_c:
+                return None
 
     order = bit_indices(free)
-
-    def viable(vbit: int, c: int, hit: int, mine: list[int]) -> bool:
-        """After coloring v with c: no vertex lost its last color and no seed
-        lost a color. Only c (through hit) and, at v, the other colors v
-        allowed became scarcer, and every seed was viable before."""
-        if hit:
-            if hit & ~reduce(or_, allow):
-                return False
-            reach_c = colored[c] | allow[c]
-            if not all(cw & reach_c for cw in closed):
-                return False
-        for cw in closed:
-            if cw & vbit:
-                for d in mine:
-                    if d != c and not cw & (colored[d] | allow[d]):
-                        return False
-        return True
+    max_nodes, deadline = tracker.budget.max_nodes, tracker.deadline
 
     def extend(pos: int) -> bool:
+        """Color order[pos:]. After coloring v with c, the branch stays open
+        while no vertex lost its last color and no seed lost a color. Only c
+        (through hit) and, at v, the other colors v allowed became scarcer,
+        and every seed was viable before, so only those are rechecked."""
         if pos == len(order):
             return True
         v = order[pos]
         vbit = 1 << v
+        adj_v = adj[v]
+        # the closed seed neighborhoods holding v
+        near_v = [cw for cw in closed if cw & vbit]
         mine = [c for c in range(k) if allow[c] & vbit]
         for c in mine:
-            tracker.tick()
+            tracker.nodes += 1
+            if tracker.nodes > max_nodes or (
+                not tracker.nodes % _CLOCK_EVERY and _expired(deadline)
+            ):
+                raise _StopSearch
             for d in mine:
                 allow[d] ^= vbit
             colored[c] |= vbit
-            hit = allow[c] & adj[v]
+            hit = allow[c] & adj_v
             allow[c] ^= hit
-            if viable(vbit, c, hit, mine) and extend(pos + 1):
+            ok = True  # the viability test, inline: it runs at every node
+            if hit:
+                if hit & ~reduce(or_, allow):
+                    ok = False
+                else:
+                    reach_c = colored[c] | allow[c]
+                    for cw in closed:
+                        if not cw & reach_c:
+                            ok = False
+                            break
+            if ok and near_v:
+                for d in mine:
+                    if d != c:
+                        reach_d = colored[d] | allow[d]
+                        for cw in near_v:
+                            if not cw & reach_d:
+                                ok = False
+                                break
+                        if not ok:
+                            break
+            if ok and extend(pos + 1):
                 return True
             allow[c] |= hit
             colored[c] ^= vbit
@@ -309,8 +320,17 @@ def brute_force_phi(graph: Graph, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> SolveRe
 
     Canonical colorings are restricted-growth strings over at most
     degree_bound(graph) blocks, pruned only by properness; domination is
-    decided at complete assignments. Intended for cross-validation, hence the
-    small default cap.
+    decided at complete assignments. Each block keeps a reach mask, the
+    vertices whose closed neighborhood meets it, and a complete assignment
+    is a b-coloring when every block meets the AND of all reach masks.
+    The leaves are tested in their parent's loop over the last vertex v,
+    with no call per leaf: placing v in proper block i ORs closed(v) into
+    reach[i] for one AND, and opening a new block ANDs closed(v) onto the
+    others. A leaf is tested only while no b-coloring with its block count
+    is recorded, so the first dominated leaf of each count in enumeration
+    order is the one recorded, and a parent whose leaves all have recorded
+    counts tests nothing. Intended for cross-validation, hence the small
+    default cap.
     """
     n = graph.vertex_count
     if n == 0:
@@ -322,6 +342,7 @@ def brute_force_phi(graph: Graph, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> SolveRe
     start = time.perf_counter()
     ub = degree_bound(graph)
     adj = graph.masks
+    last = n - 1
 
     colors = [-1] * n
     block_masks: list[int] = []
@@ -330,24 +351,46 @@ def brute_force_phi(graph: Graph, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> SolveRe
     found: dict[int, tuple[int, ...]] = {}
     nodes = 0
 
-    def dominated_everywhere() -> bool:
-        """Every block holds a vertex whose closed neighborhood meets every
-        block, i.e. meets the AND of all reach masks."""
-        dom = reduce(and_, reach)
-        return all(bm & dom for bm in block_masks)
+    def dominated(dom: int) -> bool:
+        """Every block meets dom, the AND of all reach masks."""
+        for bm in block_masks:
+            if not bm & dom:
+                return False
+        return True
 
     def descend(v: int) -> None:
         nonlocal nodes
-        if v == n:
-            b = len(block_masks)
-            if b not in found and dominated_everywhere():
-                found[b] = tuple(colors)
-            return
         nodes += 1
         vbit = 1 << v
-        closed = adj[v] | vbit
+        adj_v = adj[v]
+        closed = adj_v | vbit
+        if v == last:
+            # the leaves under this parent, tested in place
+            b = len(block_masks)
+            if b not in found:
+                for i, bm in enumerate(block_masks):
+                    if bm & adj_v:
+                        continue
+                    seen = reach[i]
+                    reach[i] = seen | closed
+                    block_masks[i] = bm | vbit
+                    hit = dominated(reduce(and_, reach))
+                    block_masks[i] = bm
+                    reach[i] = seen
+                    if hit:
+                        colors[v] = i
+                        found[b] = tuple(colors)
+                        break
+            if b < ub and b + 1 not in found:
+                block_masks.append(vbit)
+                if dominated(reduce(and_, reach, closed)):
+                    colors[v] = b
+                    found[b + 1] = tuple(colors)
+                block_masks.pop()
+            colors[v] = -1
+            return
         for i, bm in enumerate(block_masks):
-            if not bm & adj[v]:
+            if not bm & adj_v:
                 colors[v] = i
                 block_masks[i] = bm | vbit
                 seen = reach[i]
@@ -404,7 +447,7 @@ def exact_phi(
     if upper_hint is not None:
         ub = min(ub, upper_hint)
     tracker = _BudgetTracker(budget or Budget())
-    heur = heuristic_b_coloring(graph, _deadline=tracker.deadline)
+    heur = heuristic_b_coloring(graph, deadline=tracker.deadline)
     lower, certificate = heur.phi, heur.certificate
     if lower > ub:
         if upper_hint is not None and upper_hint < lower:
@@ -443,7 +486,7 @@ def exact_phi(
 
 
 def heuristic_b_coloring(
-    graph: Graph, _deadline: float | None = None
+    graph: Graph, deadline: float | None = None
 ) -> SolveResult:
     """Greedy lower-bound certificate; always returns a verified b-coloring.
 
@@ -454,7 +497,7 @@ def heuristic_b_coloring(
     drops by one; properness is preserved throughout); (2) seeded greedy
     attempts for each larger k, with a bounded single-vertex repair pass,
     kept only if the verifier accepts the result. Phase 2 starts no further
-    attempt once the monotonic-clock _deadline has passed.
+    attempt once `deadline`, a time.monotonic() value, has passed.
     """
     n = graph.vertex_count
     if n == 0:
@@ -464,7 +507,7 @@ def heuristic_b_coloring(
     base = _eliminate_undominated(graph, _greedy_proper(graph, steps), steps)
     best = base
     for k in range(degree_bound(graph), base.color_count, -1):
-        if _expired(_deadline):
+        if _expired(deadline):
             break
         attempt = _seeded_greedy(graph, k, steps)
         if attempt is not None:

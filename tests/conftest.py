@@ -31,3 +31,13 @@ def petersen_exact(petersen):
 @pytest.fixture(scope="session")
 def petersen_brute(petersen):
     return brute_force_phi(petersen)
+
+
+@pytest.fixture(scope="session")
+def kg62():
+    return build_graph(KneserParams(2, 2))
+
+
+@pytest.fixture(scope="session")
+def kg62_brute(kg62):
+    return brute_force_phi(kg62, cap=15)

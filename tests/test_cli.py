@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from bkneser import Coloring, KneserParams
+from bkneser import Coloring, Graph, KneserParams, build_graph, heuristic_b_coloring
 from bkneser.formats import (
     certificate_dict,
     dimacs_dumps,
@@ -15,7 +15,9 @@ from bkneser.formats import (
     graph_from_json_dict,
     graph_json_dict,
     read_certificate,
+    write_graph,
 )
+from bkneser.solver import _eliminate_undominated, _greedy_proper
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET = 0, 1, 2, 3
 
@@ -90,6 +92,20 @@ class TestFormats:
         parsed = graph_from_json_dict(doc)
         assert parsed.params == KneserParams(2, 0)
         assert list(parsed.edges()) == list(matching6.edges())
+
+    @pytest.mark.parametrize("name", ["kg52", "untagged", "edgeless"])
+    def test_json_writer_streams_same_text(self, tmp_path, petersen, name):
+        graph = {
+            "kg52": petersen,
+            "untagged": Graph.from_edges(6, [(0, 3), (0, 5), (1, 2), (4, 5)]),
+            "edgeless": Graph([[] for _ in range(4)]),
+        }[name]
+        out = tmp_path / "g.json"
+        write_graph(out, graph, fmt="json")
+        assert out.read_text() == json.dumps(graph_json_dict(graph), indent=2) + "\n"
+        parsed = graph_from_json_dict(json.loads(out.read_text()))
+        assert parsed.params == graph.params
+        assert list(parsed.edges()) == list(graph.edges())
 
     def test_certificate_roundtrip(self, tmp_path):
         cert = Coloring.from_sequence([0, 1, 0, 2])
@@ -174,6 +190,17 @@ class TestSolveCli:
         )
         assert verify.returncode == EXIT_OK
 
+    def test_brute_mode_leaves_budget_environment_alone(self, tmp_path):
+        # the variables may be set for other runs; only a flag is an error
+        env = dict(os.environ, BKNESER_NODE_BUDGET="3", BKNESER_TIME_BUDGET="0")
+        proc = run_cli(
+            ["solve", "2", "1", "--mode", "brute", "--format", "json"],
+            cwd=tmp_path,
+            env=env,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert json.loads(proc.stdout)["phi"] == 3
+
     def test_heuristic_mode_reports_lower_bound(self, tmp_path):
         graph_file = tmp_path / "kg62.col"
         run_cli(["gen", "2", "2", "--out", str(graph_file)], cwd=tmp_path)
@@ -188,6 +215,28 @@ class TestSolveCli:
             ["verify", str(graph_file), payload["certificate_file"]], cwd=tmp_path
         )
         assert verify.returncode == EXIT_OK
+
+    def test_heuristic_mode_reads_time_budget(self, tmp_path):
+        # a zero budget leaves phase 1's coloring: phase 2 starts no attempt
+        graph = build_graph(KneserParams(2, 10))  # KG(14,2)
+        steps = [0]
+        base = _eliminate_undominated(graph, _greedy_proper(graph, steps), steps)
+        assert steps[0] < heuristic_b_coloring(graph).stats.nodes_explored
+        graph_file = tmp_path / "kg142.col"
+        run_cli(["gen", "2", "10", "--out", str(graph_file)], cwd=tmp_path)
+        proc = run_cli(
+            ["solve", "2", "10", "--mode", "heuristic", "--budget-seconds", "0",
+             "--format", "json", "--cert", "h.json"],
+            cwd=tmp_path,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["config"]["budget_seconds"] == 0.0
+        assert payload["phi"] == base.color_count
+        assert payload["stats"]["nodes_explored"] == steps[0]
+        assert read_certificate(tmp_path / "h.json")[0] == base
+        verify = run_cli(["verify", str(graph_file), "h.json"], cwd=tmp_path)
+        assert verify.returncode == EXIT_OK, verify.stderr
 
     def test_budget_bracket_exit_code(self, tmp_path):
         proc = run_cli(
@@ -473,13 +522,21 @@ class TestUsageErrors:
             (["--budget-nodes", "0"], {}, "--budget-nodes"),
             (["--budget-nodes", "-5"], {}, "--budget-nodes"),
             ([], {"BKNESER_NODE_BUDGET": "0"}, "BKNESER_NODE_BUDGET"),
-            (["--brute-cap", "0"], {}, "--brute-cap"),
+            (["--mode", "brute", "--brute-cap", "0"], {}, "--brute-cap must be"),
             ([], {"BKNESER_BRUTE_CAP": "0"}, "BKNESER_BRUTE_CAP"),
             (["--budget-seconds", "-1"], {}, "--budget-seconds"),
             ([], {"BKNESER_TIME_BUDGET": "-0.5"}, "BKNESER_TIME_BUDGET"),
             ([], {"BKNESER_NODE_BUDGET": "many"}, "BKNESER_NODE_BUDGET"),
             (["--threads", "2"], {}, "--threads"),
             (["--seed", "1"], {}, "--seed"),
+            # a budget flag the mode does not read is rejected, not dropped
+            (["--mode", "brute", "--budget-nodes", "5"], {},
+             "--budget-nodes does not apply to --mode brute"),
+            (["--mode", "brute", "--budget-seconds", "1"], {},
+             "--budget-seconds does not apply to --mode brute"),
+            (["--mode", "heuristic", "--budget-nodes", "5"], {},
+             "--budget-nodes does not apply to --mode heuristic"),
+            (["--brute-cap", "15"], {}, "--brute-cap does not apply to --mode exact"),
         ],
     )
     def test_solve_rejects_bad_budgets_and_removed_flags(

@@ -200,9 +200,8 @@ class TestKneserReduction:
             nodes.append(tracker.nodes)
         assert 2 * nodes[0] < nodes[1]
 
-    def test_exact_matches_oracle_on_kg62(self):
-        kg = build_graph(KneserParams(2, 2))
-        exact, brute = exact_phi(kg), brute_force_phi(kg, cap=15)
+    def test_exact_matches_oracle_on_kg62(self, kg62, kg62_brute):
+        exact, brute = exact_phi(kg62), kg62_brute
         assert exact.phi == brute.phi == 6
         assert exact.infeasible_at == brute.infeasible_at == (7,)
 
@@ -212,6 +211,52 @@ class TestKneserReduction:
         assert params == KneserParams(2, 3) and claimed
         assert coloring.color_count == 7
         assert is_b_coloring(build_graph(params), coloring).valid
+
+
+def _digits(text):
+    return tuple(int(c) for c in text)
+
+
+class TestPinnedOutputs:
+    """Outputs of both exhaustive loops, recorded before their per-node
+    rewrite: a faster node must keep every decision, so phi, infeasible_at,
+    node counts and certificates stay exactly these."""
+
+    BRUTE = {
+        "petersen": (3, (4,), 771, "0001112221"),
+        "kg62": (6, (7,), 485_878, "000112342234553"),
+        (0.3, 1): (5, (), 51_279, "01001203341422"),
+        (0.5, 2): (5, (6,), 128_748, "00111002342113"),
+        (0.7, 3): (8, (9,), 7_967, "01234562057046"),
+    }
+
+    @pytest.mark.parametrize("name", list(BRUTE), ids=str)
+    def test_brute_force(self, name, petersen, kg62_brute):
+        if name == "petersen":
+            result = brute_force_phi(petersen, cap=15)
+        elif name == "kg62":
+            result = kg62_brute
+        else:
+            result = brute_force_phi(erdos_renyi_graph(14, *name), cap=15)
+        phi, infeasible_at, nodes, colors = self.BRUTE[name]
+        assert result.phi == phi
+        assert result.infeasible_at == infeasible_at
+        assert result.stats.nodes_explored == nodes
+        assert result.certificate.colors == _digits(colors)
+
+    def test_exact_kg62(self, kg62):
+        result = exact_phi(kg62)
+        assert (result.phi, result.infeasible_at) == (6, (7,))
+        assert result.stats.nodes_explored == 9_839
+        assert result.certificate.colors == _digits("012003422315154")
+
+    def test_budget_bracket_kg72(self):
+        with pytest.raises(BudgetExceeded) as info:
+            exact_phi(build_graph(KneserParams(2, 3)), budget=Budget(max_nodes=30_000))
+        exc = info.value
+        assert (exc.tested_k, exc.lower_bound, exc.upper_bound) == (10, 5, 10)
+        assert exc.nodes_explored == 30_001
+        assert exc.certificate.colors == _digits("000111222133312444123")
 
 
 class TestExactPhi:
