@@ -5,17 +5,16 @@ solve (exact / brute-force / heuristic), verify (check a certificate, with
 optional structure analysis), reproduce (run a named verification suite).
 
 Exit codes: 0 success or valid; 1 invalid certificate or failed suite;
-2 usage or input error; 3 budget-limited bracket. Budgets can also be set via
-BKNESER_NODE_BUDGET, BKNESER_TIME_BUDGET and BKNESER_BRUTE_CAP; flags win.
-Node budgets and brute caps below 1 and negative time budgets exit 2, and so
-does a budget flag the chosen solve mode does not read (_MODE_FLAGS).
+2 usage or input error; 3 budget-limited bracket. Budgets come only from
+flags. Node budgets and brute caps below 1 and negative or NaN time budgets
+exit 2, and so does a budget flag the chosen solve mode does not read
+(_MODE_FLAGS).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -24,12 +23,7 @@ from typing import Any
 from . import formats
 from .bcoloring import analyze_proof_structure, is_b_coloring
 from .bounds import asymptotic_table, best_upper_bound
-from .kneser import (
-    DEFAULT_ENUMERATION_CAP,
-    InstanceTooLarge,
-    KneserParams,
-    build_graph,
-)
+from .kneser import InstanceTooLarge, KneserParams, build_graph
 from .reproduce import SUITES
 from .solver import (
     DEFAULT_BRUTE_FORCE_CAP,
@@ -46,29 +40,6 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-ENV_NODE_BUDGET = "BKNESER_NODE_BUDGET"
-ENV_TIME_BUDGET = "BKNESER_TIME_BUDGET"
-ENV_BRUTE_CAP = "BKNESER_BRUTE_CAP"
-
-
-def _setting(flag_value: Any, flag: str, env: str, cast, default: Any, least: Any) -> Any:
-    """A budget setting from its flag, else its environment variable, else
-    the default; a value below `least` is an input error naming its source."""
-    value, source = flag_value, flag
-    if value is None:
-        raw = os.environ.get(env)
-        if raw is None:
-            return default
-        source = f"environment variable {env}"
-        try:
-            value = cast(raw)
-        except ValueError:
-            raise ValueError(f"{source}={raw!r} is not a number") from None
-    if not value >= least:  # also rejects NaN
-        raise ValueError(f"{source} must be at least {least}, got {value}")
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bkneser",
@@ -81,7 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("k", type=int)
     p_gen.add_argument("--out", required=True, help="output path")
     p_gen.add_argument("--format", choices=["dimacs", "json"], default="dimacs")
-    p_gen.add_argument("--cap", type=int, default=None, help="enumeration cap override")
     p_gen.set_defaults(func=_cmd_gen)
 
     p_bounds = sub.add_parser("bounds", help="upper bounds for one instance or a scan")
@@ -148,8 +118,7 @@ def _emit(obj: dict[str, Any]) -> None:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    cap = args.cap if args.cap is not None else DEFAULT_ENUMERATION_CAP
-    graph = build_graph(KneserParams(args.n, args.k), cap=cap)
+    graph = build_graph(KneserParams(args.n, args.k))
     formats.write_graph(args.out, graph, fmt=args.format)
     print(
         f"wrote KG({graph.params.ground_size},{graph.params.n}) "
@@ -229,7 +198,16 @@ def _parse_solve_target(args: argparse.Namespace):
     raise ValueError("solve target must be a file or two integers n k")
 
 
-# the budget flags each solve mode reads; any other one is an input error
+# each budget flag: (its argparse dest and config key, its default, the
+# least value accepted)
+_BUDGET_FLAGS = {
+    "--budget-nodes": ("budget_nodes", DEFAULT_NODE_BUDGET, 1),
+    "--budget-seconds": ("budget_seconds", None, 0.0),
+    "--brute-cap": ("brute_cap", DEFAULT_BRUTE_FORCE_CAP, 1),
+}
+
+# the budget flags each solve mode reads; any other one is an input error,
+# and the solve's config reports exactly these
 _MODE_FLAGS = {
     "exact": ("--budget-nodes", "--budget-seconds"),
     "brute": ("--brute-cap",),
@@ -237,12 +215,10 @@ _MODE_FLAGS = {
 }
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
-    given = {
-        "--budget-nodes": args.budget_nodes,
-        "--budget-seconds": args.budget_seconds,
-        "--brute-cap": args.brute_cap,
-    }
+def _solve_budgets(args: argparse.Namespace) -> dict[str, Any]:
+    """The budget settings the solve mode reads, by config key, each from its
+    flag or else its default."""
+    given = {flag: getattr(args, key) for flag, (key, _, _) in _BUDGET_FLAGS.items()}
     reads = _MODE_FLAGS[args.mode]
     for flag, value in given.items():
         if value is not None and flag not in reads:
@@ -250,27 +226,33 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 f"{flag} does not apply to --mode {args.mode}, "
                 f"which reads only {' and '.join(reads)}"
             )
-    nodes = _setting(
-        args.budget_nodes, "--budget-nodes", ENV_NODE_BUDGET, int, DEFAULT_NODE_BUDGET, 1
-    )
-    seconds = _setting(
-        args.budget_seconds, "--budget-seconds", ENV_TIME_BUDGET, float, None, 0.0
-    )
-    brute_cap = _setting(
-        args.brute_cap, "--brute-cap", ENV_BRUTE_CAP, int, DEFAULT_BRUTE_FORCE_CAP, 1
-    )
+    budgets = {}
+    for flag in reads:
+        key, default, least = _BUDGET_FLAGS[flag]
+        value = given[flag]
+        if value is None:
+            value = default
+        elif not value >= least:  # also rejects NaN
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
+        budgets[key] = value
+    return budgets
+
+
+def _cmd_solve(args: argparse.Namespace) -> int:
+    budgets = _solve_budgets(args)
     graph = _parse_solve_target(args)
-    budget = Budget(max_nodes=nodes, time_limit=seconds)
     cfg = _config_dict(args, ["target", "mode", "cert", "format"])
-    cfg["budget_nodes"] = nodes
-    cfg["budget_seconds"] = seconds
-    cfg["brute_cap"] = brute_cap
+    cfg.update(budgets)
     try:
         if args.mode == "exact":
+            budget = Budget(
+                max_nodes=budgets["budget_nodes"], time_limit=budgets["budget_seconds"]
+            )
             result = exact_phi(graph, budget=budget)
         elif args.mode == "brute":
-            result = brute_force_phi(graph, cap=brute_cap)
+            result = brute_force_phi(graph, cap=budgets["brute_cap"])
         else:
+            seconds = budgets["budget_seconds"]
             deadline = None if seconds is None else time.monotonic() + seconds
             result = heuristic_b_coloring(graph, deadline=deadline)
     except BudgetExceeded as exc:

@@ -27,16 +27,16 @@ def fraction_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def fraction_decimal_str(f: Fraction, places: int = 6) -> str:
-    """Decimal rendering with half-even rounding; storage stays exact."""
+def fraction_decimal_str(f: Fraction) -> str:
+    """Six-place decimal rendering with half-even rounding; storage stays exact."""
     with localcontext() as ctx:
         ctx.prec = 50
         q = Decimal(f.numerator) / Decimal(f.denominator)
-        return str(q.quantize(Decimal(1).scaleb(-places)))
+        return str(q.quantize(Decimal("0.000001")))
 
 
-def fraction_human(f: Fraction, places: int = 6) -> str:
-    return f"{fraction_str(f)} (≈ {fraction_decimal_str(f, places)})"
+def fraction_human(f: Fraction) -> str:
+    return f"{fraction_str(f)} (≈ {fraction_decimal_str(f)})"
 
 
 def fraction_json(f: Fraction) -> dict[str, str]:

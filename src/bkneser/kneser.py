@@ -13,7 +13,9 @@ from typing import Iterable, Iterator
 
 # Bitset vertices fit one machine word; larger ground sets are formula-only.
 MAX_BITSET_GROUND_SIZE = 64
-# Materialization cap; counting/bound operations are never capped.
+# Materialization cap; counting/bound operations are never capped. At the cap
+# the adjacency masks alone would take about 125 GB, so no larger instance can
+# be built.
 DEFAULT_ENUMERATION_CAP = 1_000_000
 
 
@@ -249,9 +251,7 @@ def _check_endpoint(v: int, u: int, n: int) -> None:
         raise ValueError(f"neighbor {u} of vertex {v} out of range")
 
 
-def enumerate_vertices(
-    params: KneserParams, cap: int | None = DEFAULT_ENUMERATION_CAP
-) -> list[VertexSubset]:
+def enumerate_vertices(params: KneserParams) -> list[VertexSubset]:
     """All n-subsets of {1..2n+k} ordered by bitmask value (element 1 = LSB).
 
     The order is colexicographic and deterministic; it defines the canonical
@@ -263,10 +263,10 @@ def enumerate_vertices(
             f"instance too large: ground set {ground} exceeds the bitset limit "
             f"{MAX_BITSET_GROUND_SIZE}; formula-only operations remain available"
         )
-    if cap is not None and params.vertex_count > cap:
+    if params.vertex_count > DEFAULT_ENUMERATION_CAP:
         raise InstanceTooLarge(
             f"instance too large: {params.vertex_count} vertices exceed the "
-            f"enumeration cap {cap}"
+            f"enumeration cap {DEFAULT_ENUMERATION_CAP}"
         )
     # Gosper's hack walks all popcount-n masks in increasing integer order.
     out = []
@@ -290,11 +290,9 @@ def degree_regularity(params: KneserParams) -> int:
     return params.degree
 
 
-def build_graph(
-    params: KneserParams, cap: int | None = DEFAULT_ENUMERATION_CAP
-) -> Graph:
+def build_graph(params: KneserParams) -> Graph:
     """Materialize KG(2n+k, n) with edges joining disjoint subsets."""
-    verts = enumerate_vertices(params, cap)
+    verts = enumerate_vertices(params)
     # containing[e]: mask of the vertices whose subset holds element e+1; a
     # vertex is adjacent to exactly those containing none of its elements.
     containing = [0] * params.ground_size

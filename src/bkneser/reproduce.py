@@ -15,10 +15,10 @@ from importlib import resources
 from typing import Any
 
 from .bcoloring import analyze_proof_structure
-from .bounds import asymptotic_table, best_upper_bound, bk_bound, u_bound
+from .bounds import asymptotic_table, bk_bound, u_bound
 from .formats import fraction_str
 from .kneser import Graph, KneserParams, build_graph
-from .solver import brute_force_phi, degree_bound, exact_phi, heuristic_b_coloring
+from .solver import brute_force_phi, exact_phi, heuristic_b_coloring, phi_upper_bound
 
 SEED_LIST_RESOURCE = "oracle_seeds.json"
 
@@ -168,9 +168,7 @@ def _solve_instance(
     brute = brute_force_phi(graph)
     exact = exact_phi(graph)
     heur = heuristic_b_coloring(graph)
-    upper = degree_bound(graph)
-    if graph.params is not None:
-        upper = min(upper, best_upper_bound(graph.params).best)
+    upper = phi_upper_bound(graph)
     report.check(
         f"{label}: exact equals brute force",
         exact.phi == brute.phi,

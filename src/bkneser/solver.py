@@ -423,37 +423,33 @@ def brute_force_phi(graph: Graph, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> SolveRe
     )
 
 
-def exact_phi(
-    graph: Graph,
-    upper_hint: int | None = None,
-    budget: Budget | None = None,
-) -> SolveResult:
+def phi_upper_bound(graph: Graph) -> int:
+    """The top of exact_phi's descending search: the degree bound, lowered to
+    the closed-form bound report's best when the graph carries Kneser
+    parameters."""
+    ub = degree_bound(graph)
+    if graph.params is not None:
+        ub = min(ub, best_upper_bound(graph.params).best)
+    return ub
+
+
+def exact_phi(graph: Graph, budget: Budget | None = None) -> SolveResult:
     """Exact b-chromatic number by descending feasibility search.
 
-    The upper bound is the minimum of the degree bound, the closed-form bound
-    report when the graph carries Kneser parameters, and upper_hint (trusted;
-    an invalid hint below the true value makes the answer wrong). A greedy
-    heuristic run seeds the lower end of the bracket; when every k above it
-    is refuted, its certificate is already the optimum. The time budget
-    covers the heuristic too.
+    The search starts at phi_upper_bound. A greedy heuristic run seeds the
+    lower end of the bracket; when every k above it is refuted, its
+    certificate is already the optimum. The time budget covers the heuristic
+    too.
     """
     n = graph.vertex_count
     if n == 0:
         raise ValueError("empty graph rejected")
     start = time.perf_counter()
-    ub = degree_bound(graph)
-    if graph.params is not None:
-        ub = min(ub, best_upper_bound(graph.params).best)
-    if upper_hint is not None:
-        ub = min(ub, upper_hint)
+    ub = phi_upper_bound(graph)
     tracker = _BudgetTracker(budget or Budget())
     heur = heuristic_b_coloring(graph, deadline=tracker.deadline)
     lower, certificate = heur.phi, heur.certificate
     if lower > ub:
-        if upper_hint is not None and upper_hint < lower:
-            raise ValueError(
-                f"upper hint {upper_hint} lies below a verified lower bound {lower}"
-            )
         raise RuntimeError("internal error: heuristic exceeded a sound upper bound")
     phi = lower
     for k in range(ub, lower, -1):

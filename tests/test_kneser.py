@@ -106,8 +106,11 @@ class TestEnumerateVertices:
         assert enumerate_vertices(p) == enumerate_vertices(p)
 
     def test_cap(self):
-        with pytest.raises(InstanceTooLarge, match="too large"):
-            enumerate_vertices(KneserParams(8, 0), cap=1000)
+        # KG(30,10) is rejected from its vertex count, before enumeration
+        with pytest.raises(
+            InstanceTooLarge, match="30045015 vertices exceed the enumeration cap 1000000"
+        ):
+            enumerate_vertices(KneserParams(10, 10))
 
     def test_ground_set_width_limit(self):
         with pytest.raises(InstanceTooLarge):
@@ -179,8 +182,8 @@ class TestBuildGraph:
             assert set(a.elements()) | set(b.elements()) == {1, 2, 3, 4}
 
     def test_cap_propagates(self):
-        with pytest.raises(InstanceTooLarge):
-            build_graph(KneserParams(8, 0), cap=1000)
+        with pytest.raises(InstanceTooLarge, match="too large"):
+            build_graph(KneserParams(10, 10))  # KG(30,10), over the cap
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_regularity_and_symmetry_scan(self, n):

@@ -279,9 +279,6 @@ class TestExactPhi:
         with pytest.raises(ValueError):
             exact_phi(Graph([]))
 
-    def test_upper_hint_respected(self, petersen):
-        assert exact_phi(petersen, upper_hint=3).phi == 3
-
     def test_infeasible_at_bookkeeping(self):
         for seed in range(5):
             g = erdos_renyi_graph(8, 0.5, 7000 + seed)
