@@ -51,7 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("n", type=int)
     p_gen.add_argument("k", type=int)
     p_gen.add_argument("--out", required=True, help="output path")
-    p_gen.add_argument("--format", choices=["dimacs", "json"], default="dimacs")
     p_gen.set_defaults(func=_cmd_gen)
 
     p_bounds = sub.add_parser("bounds", help="upper bounds for one instance or a scan")
@@ -95,12 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("reproduce", help="run a named verification suite")
     p_rep.add_argument("--suite", choices=sorted(SUITES), required=True)
     p_rep.add_argument("--out-dir", default="reports")
-    p_rep.add_argument("--limit", type=int, default=None, help="cap oracle instances")
-    p_rep.add_argument(
-        "--seed-list",
-        default=None,
-        help="seed-list file for the oracle suite (default: committed list)",
-    )
     p_rep.set_defaults(func=_cmd_reproduce)
 
     return parser
@@ -119,7 +112,7 @@ def _emit(obj: dict[str, Any]) -> None:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     graph = build_graph(KneserParams(args.n, args.k))
-    formats.write_graph(args.out, graph, fmt=args.format)
+    formats.write_graph(args.out, graph)
     print(
         f"wrote KG({graph.params.ground_size},{graph.params.n}) "
         f"({graph.vertex_count} vertices, {graph.edge_count} edges) to {args.out}"
@@ -376,14 +369,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    suite_fn = SUITES[args.suite]
-    if args.suite == "oracle":
-        report = suite_fn(limit=args.limit, seed_list_path=args.seed_list)
-    else:
-        report = suite_fn()
+    report = SUITES[args.suite]()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = _config_dict(args, ["suite", "out_dir", "limit", "seed_list"])
+    cfg = _config_dict(args, ["suite", "out_dir"])
     payload = {"config": cfg, **report.to_dict()}
     json_path = out_dir / f"{args.suite}.json"
     text_path = out_dir / f"{args.suite}.txt"

@@ -1,4 +1,4 @@
-"""Interchange formats: DIMACS edge files, JSON graphs, coloring certificates,
+"""Interchange formats: DIMACS graph files, coloring certificates,
 structure-analysis reports, and exact-rational rendering.
 
 Field names and orders are frozen in docs/SCHEMAS.md; graph files tagged with
@@ -21,6 +21,7 @@ from .bounds import BoundsReport, ScanRow
 from .kneser import Graph, KneserParams, bit_indices, build_graph
 
 _KNESER_COMMENT = re.compile(r"^c\s+kneser\s+n=(\d+)\s+k=(\d+)\s*$")
+_PROBLEM_LINE = re.compile(r"^p\s+edge\s+(\d+)\s+(\d+)$")
 
 
 def fraction_str(f: Fraction) -> str:
@@ -63,13 +64,15 @@ def dimacs_dumps(graph: Graph) -> str:
 
 def dimacs_loads(text: str) -> Graph:
     """Parse a DIMACS edge file, folding each edge into per-vertex masks as
-    it is read; the `p` line may come anywhere."""
+    it is read; the `p` line may come anywhere. A file tagged with Kneser
+    parameters must hold exactly the edges those parameters build."""
     declared: tuple[int, int] | None = None
     params: KneserParams | None = None
     masks: list[int] = []
     # edges read before the p line, or past its vertex count
     unplaced: list[tuple[int, int]] = []
     top = -1
+    edge_lines = 0
     for raw in io.StringIO(text, newline=None):
         line = raw.strip()
         if not line:
@@ -80,11 +83,11 @@ def dimacs_loads(text: str) -> Graph:
                 params = KneserParams(int(m.group(1)), int(m.group(2)))
             continue
         if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "edge":
+            m = _PROBLEM_LINE.match(line)
+            if not m:
                 raise ValueError(f"malformed problem line: {line!r}")
-            declared = (int(parts[2]), int(parts[3]))
-            del masks[max(declared[0], 0):]
+            declared = (int(m.group(1)), int(m.group(2)))
+            del masks[declared[0]:]
             masks.extend([0] * (declared[0] - len(masks)))
             for u, v in unplaced:
                 if v < declared[0]:
@@ -107,77 +110,22 @@ def dimacs_loads(text: str) -> Graph:
                 masks[v] |= 1 << u
             else:
                 unplaced.append((u, v))
+            edge_lines += 1
             continue
         raise ValueError(f"unrecognized DIMACS line: {line!r}")
     if declared is None:
         raise ValueError("missing 'p edge' header")
-    _check_endpoints(top, declared[0])
-    return _assemble(Graph._from_masks(masks), declared[1], params)
-
-
-def _graph_json_head(graph: Graph) -> dict[str, Any]:
-    """graph_json_dict(graph) with an empty edge list."""
-    return {
-        "format": "kneser-graph",
-        "version": 1,
-        "params": (
-            {"n": graph.params.n, "k": graph.params.k}
-            if graph.params is not None
-            else None
-        ),
-        "vertex_count": graph.vertex_count,
-        "edges": [],
-    }
-
-
-def graph_json_dict(graph: Graph) -> dict[str, Any]:
-    doc = _graph_json_head(graph)
-    doc["edges"] = [[u + 1, v + 1] for u, v in graph.edges()]
-    return doc
-
-
-def _json_pieces(graph: Graph) -> Iterator[str]:
-    """json.dumps(graph_json_dict(graph), indent=2) + "\n", in one piece per
-    vertex instead of one string holding every edge."""
-    head = json.dumps(_graph_json_head(graph), indent=2)
-    if not graph.edge_count:
-        yield head + "\n"
-        return
-    yield head[: -len("[]\n}")] + "["  # the empty edge list, reopened
-    sep = "\n"
-    for v, m in enumerate(graph.masks):
-        higher = bit_indices(m >> (v + 1))
-        if higher:
-            lead = f"    [\n      {v + 1},\n      "
-            yield sep + ",\n".join([f"{lead}{v + 2 + u}\n    ]" for u in higher])
-            sep = ",\n"
-    yield "\n  ]\n}\n"
-
-
-def graph_from_json_dict(data: dict[str, Any]) -> Graph:
-    if data.get("format") != "kneser-graph" or data.get("version") != 1:
-        raise ValueError("not a kneser-graph JSON document (format/version)")
-    params = None
-    if data.get("params") is not None:
-        params = KneserParams(int(data["params"]["n"]), int(data["params"]["k"]))
-    vertex_count = int(data["vertex_count"])
-    edges = [(min(u, v) - 1, max(u, v) - 1) for u, v in data["edges"]]
-    _check_endpoints(max((v for _, v in edges), default=-1), vertex_count)
-    return _assemble(Graph.from_edges(vertex_count, edges), len(edges), params)
-
-
-def _check_endpoints(top: int, vertex_count: int) -> None:
-    """Reject a file whose largest (0-indexed) endpoint `top` is out of range."""
-    if top >= vertex_count:
+    if top >= declared[0]:
         raise ValueError(f"edge endpoint {top + 1} exceeds vertex count")
-
-
-def _assemble(graph: Graph, declared_edges: int, params: KneserParams | None) -> Graph:
-    """The graph read from a file, checked against its declared edge count
-    and its Kneser tag."""
-    if graph.edge_count != declared_edges:
+    graph = Graph._from_masks(masks)
+    if graph.edge_count != declared[1]:
         raise ValueError(
-            f"edge count mismatch: declared {declared_edges}, found {graph.edge_count}"
+            f"edge count mismatch: declared {declared[1]}, found {graph.edge_count}"
+        )
+    if edge_lines != graph.edge_count:
+        raise ValueError(
+            f"repeated edge: {edge_lines} edge lines name "
+            f"{graph.edge_count} distinct edges"
         )
     if params is not None:
         expected = build_graph(params)
@@ -189,26 +137,13 @@ def _assemble(graph: Graph, declared_edges: int, params: KneserParams | None) ->
     return graph
 
 
-def write_graph(path: str | Path, graph: Graph, fmt: str = "dimacs") -> None:
-    path = Path(path)
-    if fmt == "dimacs":
-        with path.open("w") as out:
-            out.writelines(_dimacs_pieces(graph))
-    elif fmt == "json":
-        with path.open("w") as out:
-            out.writelines(_json_pieces(graph))
-    else:
-        raise ValueError(f"unknown graph format: {fmt}")
+def write_graph(path: str | Path, graph: Graph) -> None:
+    with Path(path).open("w") as out:
+        out.writelines(_dimacs_pieces(graph))
 
 
 def load_graph(path: str | Path) -> Graph:
-    """Read a graph file, sniffing JSON vs DIMACS by suffix then content."""
-    path = Path(path)
-    text = path.read_text()
-    stripped = text.lstrip()
-    if path.suffix == ".json" or stripped.startswith("{"):
-        return graph_from_json_dict(json.loads(text))
-    return dimacs_loads(text)
+    return dimacs_loads(Path(path).read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -232,22 +167,42 @@ def write_certificate(
     Path(path).write_text(json.dumps(certificate_dict(coloring, params), indent=2) + "\n")
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer; booleans are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def certificate_from_dict(
-    data: dict[str, Any],
+    data: Any,
 ) -> tuple[Coloring, KneserParams | None, bool]:
+    if not isinstance(data, dict):
+        raise ValueError("certificate must be a JSON object")
     for key in ("params", "vertex_count", "colors", "claimed_b_coloring"):
         if key not in data:
             raise ValueError(f"certificate missing field {key!r}")
+    raw_params = data["params"]
+    if raw_params is not None and not (
+        isinstance(raw_params, dict)
+        and _is_int(raw_params.get("n"))
+        and _is_int(raw_params.get("k"))
+    ):
+        raise ValueError(
+            "certificate params must be null or an object with integer n and k"
+        )
+    if not _is_int(data["vertex_count"]):
+        raise ValueError("certificate vertex_count must be an integer")
     colors = data["colors"]
-    if not isinstance(colors, list) or not all(isinstance(c, int) for c in colors):
+    if not isinstance(colors, list) or not all(_is_int(c) for c in colors):
         raise ValueError("certificate colors must be a list of integers")
     if len(colors) != data["vertex_count"]:
         raise ValueError("certificate vertex_count disagrees with colors length")
+    if not isinstance(data["claimed_b_coloring"], bool):
+        raise ValueError("certificate claimed_b_coloring must be true or false")
     params = None
-    if data["params"] is not None:
-        params = KneserParams(int(data["params"]["n"]), int(data["params"]["k"]))
+    if raw_params is not None:
+        params = KneserParams(raw_params["n"], raw_params["k"])
     # Labels are canonicalized on load; class structure is unaffected.
-    return Coloring.from_sequence(colors), params, bool(data["claimed_b_coloring"])
+    return Coloring.from_sequence(colors), params, data["claimed_b_coloring"]
 
 
 def read_certificate(path: str | Path) -> tuple[Coloring, KneserParams | None, bool]:

@@ -21,6 +21,8 @@ from .kneser import Graph, KneserParams, build_graph
 from .solver import brute_force_phi, exact_phi, heuristic_b_coloring, phi_upper_bound
 
 SEED_LIST_RESOURCE = "oracle_seeds.json"
+CROSSOVER_K_MAX = 12
+RATIOS_K_MAX = 200
 
 # Every (n, k) with at most 12 vertices: n=1 gives complete graphs K_{2+k},
 # n=2 gives the 6-vertex perfect matching and the 10-vertex KG(5,2).
@@ -70,16 +72,10 @@ def erdos_renyi_graph(n: int, p: float, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def load_seed_entries(path: str | None = None) -> list[dict[str, Any]]:
-    """Entries from a seed-list file, defaulting to the committed package list."""
-    if path is not None:
-        text = open(path).read()
-    else:
-        text = (
-            resources.files("bkneser.data").joinpath(SEED_LIST_RESOURCE).read_text()
-        )
-    payload = json.loads(text)
-    return payload["entries"]
+def load_seed_entries() -> list[dict[str, Any]]:
+    """Entries of the committed seed list."""
+    text = resources.files("bkneser.data").joinpath(SEED_LIST_RESOURCE).read_text()
+    return json.loads(text)["entries"]
 
 
 def run_sharpness() -> SuiteReport:
@@ -116,11 +112,11 @@ def run_sharpness() -> SuiteReport:
     return report
 
 
-def run_crossover(k_max: int = 12) -> SuiteReport:
+def run_crossover() -> SuiteReport:
     """n=2 scan: the d-i bound must match its ceiling form wherever it applies,
     and the floor of the counting bound first beats it at some k*."""
     report = SuiteReport("crossover")
-    rows = asymptotic_table(2, 0, k_max)
+    rows = asymptotic_table(2, 0, CROSSOVER_K_MAX)
     crossover = None
     for row in rows:
         params = KneserParams(2, row.k)
@@ -140,13 +136,12 @@ def run_crossover(k_max: int = 12) -> SuiteReport:
         f"k*={crossover}",
     )
     report.check("crossover at k*=6", crossover == 6, f"k*={crossover}")
-    spot = rows[10] if k_max >= 10 else None
-    if spot is not None:
-        report.check(
-            "k=10 spot values: bk=45, u_floor=39",
-            spot.bk_value == 45 and spot.u_floor == 39,
-            f"bk={spot.bk_value}, u_floor={spot.u_floor}",
-        )
+    spot = rows[10]
+    report.check(
+        "k=10 spot values: bk=45, u_floor=39",
+        spot.bk_value == 45 and spot.u_floor == 39,
+        f"bk={spot.bk_value}, u_floor={spot.u_floor}",
+    )
     report.data["crossover_k"] = crossover
     report.data["rows"] = [
         {
@@ -201,9 +196,7 @@ def _solve_instance(
     )
 
 
-def run_oracle(
-    limit: int | None = None, seed_list_path: str | None = None
-) -> SuiteReport:
+def run_oracle() -> SuiteReport:
     """Exact solver against the brute-force oracle: all small Kneser instances
     and the committed random-graph seed list, with the sandwich property."""
     report = SuiteReport("oracle")
@@ -214,9 +207,7 @@ def run_oracle(
             f"KG({params.ground_size},{params.n})",
             build_graph(params),
         )
-    entries = load_seed_entries(seed_list_path)
-    if limit is not None:
-        entries = entries[:limit]
+    entries = load_seed_entries()
     report.data["seed_entries_used"] = len(entries)
     for entry in entries:
         graph = erdos_renyi_graph(entry["vertices"], entry["density"], entry["seed"])
@@ -225,7 +216,7 @@ def run_oracle(
     return report
 
 
-def run_ratios(k_max: int = 200) -> SuiteReport:
+def run_ratios() -> SuiteReport:
     """Finite-k evidence tables for n = 2..5: 2(2n+k)/|V| strictly decreasing,
     d/|V| strictly increasing and below 1; records where the first ratio drops
     below 1/1000 (it does not within the scan for n=2)."""
@@ -234,15 +225,15 @@ def run_ratios(k_max: int = 200) -> SuiteReport:
     tables = {}
     threshold = Fraction(1, 1000)
     for n in range(2, 6):
-        rows = asymptotic_table(n, 0, k_max)
+        rows = asymptotic_table(n, 0, RATIOS_K_MAX)
         excess = [r.two_ground_over_v for r in rows]
         density = [r.degree_over_v for r in rows]
         report.check(
-            f"n={n}: 2(2n+k)/|V| strictly decreasing over k=0..{k_max}",
+            f"n={n}: 2(2n+k)/|V| strictly decreasing over k=0..{RATIOS_K_MAX}",
             all(a > b for a, b in zip(excess, excess[1:])),
         )
         report.check(
-            f"n={n}: d/|V| strictly increasing over k=0..{k_max}",
+            f"n={n}: d/|V| strictly increasing over k=0..{RATIOS_K_MAX}",
             all(a < b for a, b in zip(density, density[1:])),
         )
         report.check(
@@ -257,7 +248,8 @@ def run_ratios(k_max: int = 200) -> SuiteReport:
             f"n={n}: first k with ratio < 1/1000 recorded",
             True,
             f"k={first_below}" if first_below is not None else
-            f"not reached by k={k_max} (ratio there = {fraction_str(excess[-1])})",
+            f"not reached by k={RATIOS_K_MAX} "
+            f"(ratio there = {fraction_str(excess[-1])})",
         )
         tables[str(n)] = [
             {

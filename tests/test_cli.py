@@ -1,21 +1,19 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from bkneser import Coloring, Graph, KneserParams, build_graph, heuristic_b_coloring
+from bkneser import Coloring, KneserParams, build_graph, heuristic_b_coloring
 from bkneser.formats import (
     certificate_dict,
     dimacs_dumps,
     dimacs_loads,
-    graph_from_json_dict,
-    graph_json_dict,
     read_certificate,
-    write_graph,
 )
 from bkneser.solver import _eliminate_undominated, _greedy_proper
 
@@ -87,26 +85,6 @@ class TestFormats:
         g = dimacs_loads("e 2 3\nc note\ne 1 2\np edge 3 2\n")
         assert list(g.edges()) == [(0, 1), (1, 2)]
 
-    def test_json_roundtrip(self, matching6):
-        doc = graph_json_dict(matching6)
-        parsed = graph_from_json_dict(doc)
-        assert parsed.params == KneserParams(2, 0)
-        assert list(parsed.edges()) == list(matching6.edges())
-
-    @pytest.mark.parametrize("name", ["kg52", "untagged", "edgeless"])
-    def test_json_writer_streams_same_text(self, tmp_path, petersen, name):
-        graph = {
-            "kg52": petersen,
-            "untagged": Graph.from_edges(6, [(0, 3), (0, 5), (1, 2), (4, 5)]),
-            "edgeless": Graph([[] for _ in range(4)]),
-        }[name]
-        out = tmp_path / "g.json"
-        write_graph(out, graph, fmt="json")
-        assert out.read_text() == json.dumps(graph_json_dict(graph), indent=2) + "\n"
-        parsed = graph_from_json_dict(json.loads(out.read_text()))
-        assert parsed.params == graph.params
-        assert list(parsed.edges()) == list(graph.edges())
-
     def test_certificate_roundtrip(self, tmp_path):
         cert = Coloring.from_sequence([0, 1, 0, 2])
         doc = certificate_dict(cert, KneserParams(2, 0))
@@ -137,15 +115,6 @@ class TestGen:
         assert text == dimacs_dumps(petersen)
         parsed = dimacs_loads(text)
         assert list(parsed.edges()) == list(petersen.edges())
-
-    def test_json_format(self, tmp_path):
-        out = tmp_path / "g.json"
-        proc = run_cli(
-            ["gen", "2", "0", "--out", str(out), "--format", "json"], cwd=tmp_path
-        )
-        assert proc.returncode == EXIT_OK
-        parsed = graph_from_json_dict(json.loads(out.read_text()))
-        assert parsed.vertex_count == 6
 
     def test_cap_error(self, tmp_path):
         # KG(30,10) has 30,045,015 vertices, over the enumeration cap
@@ -453,42 +422,16 @@ class TestReproduceCli:
 
     def test_oracle_suite_limited(self, tmp_path):
         proc = run_cli(
-            ["reproduce", "--suite", "oracle", "--limit", "6", "--out-dir", "r"],
-            cwd=tmp_path,
-        )
-        assert proc.returncode == EXIT_OK
-        report = json.loads((tmp_path / "r" / "oracle.json").read_text())
-        assert report["data"]["seed_entries_used"] == 6
-
-    def test_oracle_suite_custom_seed_list(self, tmp_path):
-        seeds = tmp_path / "seeds.json"
-        seeds.write_text(
-            json.dumps(
-                {
-                    "name": "custom",
-                    "entries": [
-                        {"seed": 7, "vertices": 6, "density": 0.5},
-                        {"seed": 8, "vertices": 7, "density": 0.2},
-                    ],
-                }
-            )
-        )
-        proc = run_cli(
-            [
-                "reproduce",
-                "--suite",
-                "oracle",
-                "--seed-list",
-                str(seeds),
-                "--out-dir",
-                "r",
-            ],
-            cwd=tmp_path,
+            ["reproduce", "--suite", "oracle", "--out-dir", "r"], cwd=tmp_path
         )
         assert proc.returncode == EXIT_OK, proc.stderr
         report = json.loads((tmp_path / "r" / "oracle.json").read_text())
-        assert report["data"]["seed_entries_used"] == 2
-        assert report["config"]["seed_list"] == str(seeds)
+        assert report["data"]["seed_entries_used"] == 210
+        assert report["config"] == {
+            "command": "reproduce",
+            "suite": "oracle",
+            "out_dir": "r",
+        }
 
     def test_ratios_suite(self, tmp_path):
         proc = run_cli(
@@ -502,6 +445,106 @@ class TestReproduceCli:
             "4": 31,
             "5": 15,
         }
+
+
+_TWO_VERTEX_GRAPH = "p edge 2 1\ne 1 2\n"
+
+
+def _certificate(**fields):
+    """A valid certificate for _TWO_VERTEX_GRAPH, with `fields` replaced."""
+    doc = {"params": None, "vertex_count": 2, "colors": [0, 1]}
+    return json.dumps({**doc, "claimed_b_coloring": True, **fields})
+
+
+def _bad_certificate(case_id, text, message):
+    files = {"g.col": _TWO_VERTEX_GRAPH, "c.json": text}
+    argv = ["verify", "g.col", "c.json"]
+    return pytest.param(argv, files, f"error: certificate {message}", id=case_id)
+
+
+def _bad_graph(case_id, command, text, message, name="g.col"):
+    argv = {"solve": ["solve", name], "verify": ["verify", name, "c.json"]}[command]
+    files = {name: text, "c.json": _certificate()}
+    return pytest.param(argv, files, f"error: {message}", id=f"{command}-{case_id}")
+
+
+_PARAMS_MESSAGE = "params must be null or an object with integer n and k"
+
+# JSON graph documents: graph files are read as DIMACS only
+_JSON_GRAPHS = {
+    "json-no-vertex-count": {
+        "format": "kneser-graph", "version": 1, "params": None, "edges": [[1, 2]]
+    },
+    "json-list": [[1, 2]],
+    "json-string-endpoint": {
+        "format": "kneser-graph", "version": 1, "params": None,
+        "vertex_count": 2, "edges": [["1", 2]],
+    },
+}
+
+_MALFORMED_INPUTS = [
+    _bad_certificate("cert-number", "5\n", "must be a JSON object"),
+    _bad_certificate("cert-list", "[0, 1]\n", "must be a JSON object"),
+    _bad_certificate("params-number", _certificate(params=5), _PARAMS_MESSAGE),
+    _bad_certificate(
+        "params-float-n", _certificate(params={"n": 2.7, "k": 1}), _PARAMS_MESSAGE
+    ),
+    _bad_certificate(
+        "params-string-n", _certificate(params={"n": "2", "k": 1}), _PARAMS_MESSAGE
+    ),
+    _bad_certificate(
+        "params-bool-k", _certificate(params={"n": 2, "k": True}), _PARAMS_MESSAGE
+    ),
+    _bad_certificate("params-no-k", _certificate(params={"n": 2}), _PARAMS_MESSAGE),
+    _bad_certificate(
+        "vertex-count-float", _certificate(vertex_count=2.0),
+        "vertex_count must be an integer",
+    ),
+    _bad_certificate(
+        "vertex-count-bool", _certificate(vertex_count=True, colors=[0]),
+        "vertex_count must be an integer",
+    ),
+    _bad_certificate(
+        "color-bool", _certificate(colors=[True, False]),
+        "colors must be a list of integers",
+    ),
+    _bad_certificate(
+        "claimed-string", _certificate(claimed_b_coloring="no"),
+        "claimed_b_coloring must be true or false",
+    ),
+    _bad_graph(
+        "negative-vertices", "solve", "p edge -3 0\n",
+        "malformed problem line: 'p edge -3 0'",
+    ),
+    _bad_graph(
+        "negative-edges", "solve", "p edge 2 -1\n",
+        "malformed problem line: 'p edge 2 -1'",
+    ),
+    _bad_graph(
+        "repeated-edge", "solve", "p edge 2 1\ne 1 2\ne 2 1\n",
+        "repeated edge: 2 edge lines name 1 distinct edges",
+    ),
+    *[
+        _bad_graph(
+            case_id, command, json.dumps(doc),
+            f"unrecognized DIMACS line: {json.dumps(doc)!r}", name="g.json",
+        )
+        for command in ("solve", "verify")
+        for case_id, doc in _JSON_GRAPHS.items()
+    ],
+    pytest.param(
+        ["gen", "2", "1", "--out", "g", "--format", "json"], {},
+        "error: unrecognized arguments: --format json", id="gen-format",
+    ),
+    pytest.param(
+        ["reproduce", "--suite", "oracle", "--limit", "6"], {},
+        "error: unrecognized arguments: --limit 6", id="reproduce-limit",
+    ),
+    pytest.param(
+        ["reproduce", "--suite", "oracle", "--seed-list", "s.json"], {},
+        "error: unrecognized arguments: --seed-list s.json", id="reproduce-seed-list",
+    ),
+]
 
 
 class TestUsageErrors:
@@ -551,3 +594,31 @@ class TestUsageErrors:
         )
         assert proc.returncode == EXIT_USAGE
         assert message in proc.stderr
+
+    @pytest.mark.parametrize("argv,files,message", _MALFORMED_INPUTS)
+    def test_malformed_input_exits_2_with_a_message(
+        self, tmp_path, argv, files, message
+    ):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        proc = run_cli(argv, cwd=tmp_path)
+        assert proc.returncode == EXIT_USAGE, proc.stdout
+        assert "Traceback" not in proc.stderr
+        assert message in proc.stderr
+
+
+class TestReadme:
+    def test_cli_quick_start_runs(self, tmp_path):
+        # every `bkneser ...` line of the README's quick start, in order, in
+        # one directory: later lines read the files earlier ones write
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("## CLI quick start", 1)[1].split("```")[1]
+        commands = [
+            shlex.split(line, comments=True)
+            for line in block.splitlines()
+            if line.startswith("bkneser ")
+        ]
+        assert len(commands) >= 5
+        for command in commands:
+            proc = run_cli(command[1:], cwd=tmp_path)
+            assert proc.returncode == EXIT_OK, (command, proc.stderr)
