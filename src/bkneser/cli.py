@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -231,8 +232,20 @@ def _solve_budgets(args: argparse.Namespace) -> dict[str, Any]:
     return budgets
 
 
+def _check_writable(path: str) -> None:
+    """Reject a certificate path that cannot be written, before any search."""
+    target = Path(path)
+    if not target.parent.is_dir():
+        raise ValueError(f"cannot write --cert {path}: no directory {target.parent}")
+    if target.is_dir():
+        raise ValueError(f"cannot write --cert {path}: it is a directory")
+    if not os.access(target if target.exists() else target.parent, os.W_OK):
+        raise ValueError(f"cannot write --cert {path}: permission denied")
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     budgets = _solve_budgets(args)
+    _check_writable(args.cert)
     graph = _parse_solve_target(args)
     cfg = _config_dict(args, ["target", "mode", "cert", "format"])
     cfg.update(budgets)

@@ -99,7 +99,10 @@ def dimacs_loads(text: str) -> Graph:
             parts = line.split()
             if len(parts) != 3:
                 raise ValueError(f"malformed edge line: {line!r}")
-            u, v = int(parts[1]), int(parts[2])
+            try:
+                u, v = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ValueError(f"malformed edge line: {line!r}") from None
             if u == v or u < 1 or v < 1:
                 raise ValueError(f"invalid edge {u} {v}")
             u, v = min(u, v) - 1, max(u, v) - 1

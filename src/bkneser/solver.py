@@ -11,28 +11,36 @@ Completeness of the seeding: a dominator system of a k-color b-coloring is a
 set of k vertices, one dominating vertex from each class. The search from a
 seed tuple prunes only on properness and on each seed keeping a way to see
 every color, so it finds any coloring in which its seeds form a dominator
-system, whichever dominating vertex each class contributes. On a plain graph
-the seed tuples are all k-subsets of the vertices of degree >= k-1, so
-refuting every tuple refutes k.
+system, whichever dominating vertex each class contributes; the colors are
+interchangeable, so seed i takes color i. On a plain graph the seed tuples
+are all k-subsets of the vertices of degree >= k-1, so refuting every tuple
+refutes k.
 
-On a Kneser graph (one carrying both `params` and `subsets`) the tuples are
-cut by orbital branching (Ostrowski, Linderoth, Rossi & Smriglio, Math.
-Programming 126, 2011). Let S_0 be the subset of vertex 0 and, for
-t = 0..n-1, let O_t be the vertices y with |S_y & S_0| = t and r_t the
-least-index vertex of O_t. For a tuple containing 0, let t* be the least
-|S_y & S_0| over its other vertices y; the tuple is kept when it also
-contains r_{t*}. For k = 1 the only tuple is (0,). Branch t of the orbital
-tree holds the kept tuples with t* = t. This loses no coloring:
-- The symmetric group on the ground set acts on the graph by automorphisms,
-  and transitively on its vertices. Given a b-coloring with dominator system
-  D, some automorphism s maps an element of D to 0, and s(D) is a dominator
-  system of the mapped coloring.
-- Let t* be the least |S_y & S_0| over the other elements y of s(D). The
-  stabilizer of vertex 0 permutes S_0 and its complement separately, so its
-  orbits on the other vertices are exactly O_0..O_{n-1}; some u in it maps
-  one such y to r_{t*}.
-- u keeps every intersection size with S_0, so us(D) contains 0 and r_{t*}
-  and its least intersection size is still t*: it is a kept tuple.
+On a Kneser graph (one carrying both `params` and `subsets`) the symmetric
+group on the ground set acts on the graph by automorphisms. An automorphism s
+maps a b-coloring with dominator system D to one with dominator system s(D),
+so refuting one tuple from each orbit of k-sets of vertices refutes k.
+- On KG(N, 2) with N <= 8 the tuples are exactly one per orbit: the
+  representatives of the committed table of `orbits` (a k-set of vertices is
+  a graph with k edges on the ground set, its orbit an isomorphism class).
+  The tests check each level of the table against the orbit count from
+  Burnside's lemma and check its members pairwise non-isomorphic, so they
+  meet every orbit.
+- On other Kneser graphs the tuples are cut by orbital branching (Ostrowski,
+  Linderoth, Rossi & Smriglio, Math. Programming 126, 2011). Let S_0 be the
+  subset of vertex 0 and, for t = 0..n-1, let O_t be the vertices y with
+  |S_y & S_0| = t and r_t the least-index vertex of O_t. For a tuple
+  containing 0, let t* be the least |S_y & S_0| over its other vertices y;
+  the tuple is kept when it also contains r_{t*}. For k = 1 the only tuple
+  is (0,). Branch t of the orbital tree holds the kept tuples with t* = t.
+  This loses no coloring. The group is transitive on the vertices, so some
+  automorphism s maps an element of a dominator system D to 0. Let t* be
+  the least |S_y & S_0| over the other elements y of s(D). The stabilizer
+  of vertex 0 permutes S_0 and its complement separately, so its orbits on
+  the other vertices are exactly O_0..O_{n-1}, and some u in it maps one
+  such y to r_{t*}. u keeps every intersection size with S_0, so us(D)
+  contains 0 and r_{t*} and its least intersection size is still t*: it is
+  a kept tuple.
 
 The brute-force oracle is an independent check: it enumerates canonical
 colorings (restricted-growth strings, pruned only by properness) and tests
@@ -244,12 +252,21 @@ def _search_with_seeds(
 def _seed_tuples(graph: Graph, k: int) -> Iterator[tuple[int, ...]]:
     """The seed tuples, ascending within each, whose refutation refutes k
     colors: every k-subset of the vertices of degree >= k-1, cut on Kneser
-    graphs to the kept tuples of the module docstring."""
+    graphs to one per orbit or to the kept tuples of the module docstring."""
     candidates = [v for v, d in enumerate(graph.degrees()) if d >= k - 1]
     if graph.params is None or graph.subsets is None:
         yield from combinations(candidates, k)
         return
     if not candidates or candidates[0] != 0:  # regular: all or none
+        return
+    # imported here, so that `python -m bkneser.orbits` finds it unimported
+    from .orbits import representatives
+
+    orbits = representatives(graph.params.ground_size, graph.params.n, k)
+    if orbits is not None:
+        index = {s.bits: v for v, s in enumerate(graph.subsets)}
+        for members in orbits:
+            yield tuple(sorted(index[m] for m in members))
         return
     if k == 1:
         yield (0,)
@@ -439,7 +456,7 @@ def exact_phi(graph: Graph, budget: Budget | None = None) -> SolveResult:
     The search starts at phi_upper_bound. A greedy heuristic run seeds the
     lower end of the bracket; when every k above it is refuted, its
     certificate is already the optimum. The time budget covers the heuristic
-    too.
+    and the loading of the orbit table too.
     """
     n = graph.vertex_count
     if n == 0:
@@ -491,9 +508,10 @@ def heuristic_b_coloring(
     vertex (each member of such a class misses some color, and members are
     pairwise non-adjacent, so the class always empties and the color count
     drops by one; properness is preserved throughout); (2) seeded greedy
-    attempts for each larger k, with a bounded single-vertex repair pass,
-    kept only if the verifier accepts the result. Phase 2 starts no further
-    attempt once `deadline`, a time.monotonic() value, has passed.
+    attempts for each larger k, descending from phi_upper_bound (no coloring
+    with more colors can pass the verifier), with a bounded single-vertex
+    repair pass, kept only if the verifier accepts the result. Phase 2 starts
+    no further attempt once `deadline`, a time.monotonic() value, has passed.
     """
     n = graph.vertex_count
     if n == 0:
@@ -502,7 +520,7 @@ def heuristic_b_coloring(
     steps = [0]
     base = _eliminate_undominated(graph, _greedy_proper(graph, steps), steps)
     best = base
-    for k in range(degree_bound(graph), base.color_count, -1):
+    for k in range(phi_upper_bound(graph), base.color_count, -1):
         if _expired(deadline):
             break
         attempt = _seeded_greedy(graph, k, steps)

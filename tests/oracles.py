@@ -98,3 +98,45 @@ def kneser_edges(vertices: list[frozenset[int]]) -> set[tuple[int, int]]:
         for j in range(i + 1, len(vertices))
         if not vertices[i] & vertices[j]
     }
+
+
+def point_signatures(family, ground: int) -> list[tuple]:
+    """Per point: how many subsets hold it, and for each of those subsets
+    the sorted counts of its other points. A permutation mapping one family
+    onto another maps each point to a point of equal signature."""
+    held = [sum(p in s for s in family) for p in range(ground)]
+    signatures = []
+    for p in range(ground):
+        seen = sorted(tuple(sorted(held[q] for q in s - {p})) for s in family if p in s)
+        signatures.append((held[p], tuple(seen)))
+    return signatures
+
+
+def isomorphic_families(a, b, ground: int) -> bool:
+    """Does some permutation of range(ground) map the family of subsets `a`
+    onto `b`? Backtracking over the image of each point in turn, pruned by
+    point signatures and by the subsets whose points are all placed."""
+    a = [frozenset(s) for s in a]
+    b = {frozenset(s) for s in b}
+    if len(a) != len(b):
+        return False
+    sig_a, sig_b = point_signatures(a, ground), point_signatures(b, ground)
+    if sorted(sig_a) != sorted(sig_b):
+        return False
+    closed_at = [[s for s in a if max(s) == p] for p in range(ground)]
+    image: dict[int, int] = {}
+
+    def place(p: int) -> bool:
+        if p == ground:
+            return True
+        for q in range(ground):
+            if q in image.values() or sig_b[q] != sig_a[p]:
+                continue
+            image[p] = q
+            if all(frozenset(image[x] for x in s) in b for s in closed_at[p]):
+                if place(p + 1):
+                    return True
+            del image[p]
+        return False
+
+    return place(0)

@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -195,6 +196,24 @@ class TestSolveCli:
         assert read_certificate(tmp_path / "h.json")[0] == base
         verify = run_cli(["verify", str(graph_file), "h.json"], cwd=tmp_path)
         assert verify.returncode == EXIT_OK, verify.stderr
+
+    @pytest.mark.parametrize(
+        "cert,message",
+        [
+            ("nodir/c.json", "cannot write --cert nodir/c.json: no directory nodir"),
+            (".", "cannot write --cert .: it is a directory"),
+        ],
+    )
+    def test_unwritable_cert_rejected_before_the_search(self, tmp_path, cert, message):
+        # KG(9,3) runs out its 60 s time budget: the path is rejected first
+        start = time.monotonic()
+        proc = run_cli(
+            ["solve", "3", "3", "--budget-seconds", "60", "--cert", cert], cwd=tmp_path
+        )
+        assert time.monotonic() - start < 30
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == f"error: {message}\n"
+        assert proc.stdout == ""
 
     def test_budget_bracket_exit_code(self, tmp_path):
         proc = run_cli(
@@ -523,6 +542,10 @@ _MALFORMED_INPUTS = [
     _bad_graph(
         "repeated-edge", "solve", "p edge 2 1\ne 1 2\ne 2 1\n",
         "repeated edge: 2 edge lines name 1 distinct edges",
+    ),
+    _bad_graph(
+        "non-integer-endpoint", "solve", "p edge 2 1\ne 1 x\n",
+        "malformed edge line: 'e 1 x'",
     ),
     *[
         _bad_graph(

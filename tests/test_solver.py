@@ -30,6 +30,8 @@ from bkneser.solver import (
     _eliminate_undominated,
     _greedy_proper,
     _seed_tuples,
+    _seeded_greedy,
+    phi_upper_bound,
 )
 
 # Kneser instances whose unreduced search settles every k within seconds:
@@ -167,8 +169,9 @@ class TestKneserReduction:
             if reduced is not None:
                 assert is_b_coloring(kg, reduced).valid
 
+    # Kneser graphs outside the orbit table: KG(6,3), KG(7,3) and K_5
     @pytest.mark.parametrize(
-        "params", [KneserParams(2, 1), KneserParams(2, 2), KneserParams(3, 1)]
+        "params", [KneserParams(3, 0), KneserParams(3, 1), KneserParams(1, 3)]
     )
     def test_seed_tuples_follow_definition(self, params):
         # kept: 0 and r_t for the least intersection size t of the others,
@@ -198,7 +201,8 @@ class TestKneserReduction:
             tracker = _BudgetTracker(Budget())
             assert feasible_b_coloring(g, 7, _tracker=tracker) is None
             nodes.append(tracker.nodes)
-        assert 2 * nodes[0] < nodes[1]
+        # one seed tuple per orbit, against every 7-subset of the vertices
+        assert nodes == [352, 43_148]
 
     def test_exact_matches_oracle_on_kg62(self, kg62, kg62_brute):
         exact, brute = exact_phi(kg62), kg62_brute
@@ -206,11 +210,21 @@ class TestKneserReduction:
         assert exact.infeasible_at == brute.infeasible_at == (7,)
 
     def test_committed_kg72_certificate(self):
-        doc = resources.files("bkneser.data").joinpath("kg_2_3_phi7.json").read_text()
-        coloring, params, claimed = certificate_from_dict(json.loads(doc))
+        coloring, params, claimed = _committed("kg_2_3_phi7.json")
         assert params == KneserParams(2, 3) and claimed
         assert coloring.color_count == 7
         assert is_b_coloring(build_graph(params), coloring).valid
+
+    def test_committed_kg82_certificate(self):
+        coloring, params, claimed = _committed("kg_2_4_phi9.json")
+        assert params == KneserParams(2, 4) and claimed
+        assert coloring.color_count == 9
+        assert is_b_coloring(build_graph(params), coloring).valid
+
+
+def _committed(name):
+    doc = resources.files("bkneser.data").joinpath(name).read_text()
+    return certificate_from_dict(json.loads(doc))
 
 
 def _digits(text):
@@ -218,9 +232,9 @@ def _digits(text):
 
 
 class TestPinnedOutputs:
-    """Outputs of both exhaustive loops, recorded before their per-node
-    rewrite: a faster node must keep every decision, so phi, infeasible_at,
-    node counts and certificates stay exactly these."""
+    """Outputs of both exhaustive loops: a faster node must keep every
+    decision, so phi, infeasible_at, node counts and certificates stay
+    exactly these. The exact search's counts also pin its seed tuples."""
 
     BRUTE = {
         "petersen": (3, (4,), 771, "0001112221"),
@@ -247,16 +261,29 @@ class TestPinnedOutputs:
     def test_exact_kg62(self, kg62):
         result = exact_phi(kg62)
         assert (result.phi, result.infeasible_at) == (6, (7,))
-        assert result.stats.nodes_explored == 9_839
-        assert result.certificate.colors == _digits("012003422315154")
+        assert result.stats.nodes_explored == 458
+        assert result.certificate.colors == _digits("012322141300554")
 
-    def test_budget_bracket_kg72(self):
+    def test_exact_kg72_within_30000_nodes(self):
+        budget = Budget(max_nodes=30_000)
+        result = exact_phi(build_graph(KneserParams(2, 3)), budget=budget)
+        assert (result.phi, result.infeasible_at) == (7, (8, 9, 10))
+        assert result.stats.nodes_explored == 12_439
+        assert result.certificate == _committed("kg_2_3_phi7.json")[0]
+
+    def test_exact_kg82(self):
+        result = exact_phi(build_graph(KneserParams(2, 4)))
+        assert (result.phi, result.infeasible_at) == (9, (10, 11, 12, 13))
+        assert result.stats.nodes_explored == 455_949
+        assert result.certificate == _committed("kg_2_4_phi9.json")[0]
+
+    def test_budget_bracket_kg82(self):
         with pytest.raises(BudgetExceeded) as info:
-            exact_phi(build_graph(KneserParams(2, 3)), budget=Budget(max_nodes=30_000))
+            exact_phi(build_graph(KneserParams(2, 4)), budget=Budget(max_nodes=30_000))
         exc = info.value
-        assert (exc.tested_k, exc.lower_bound, exc.upper_bound) == (10, 5, 10)
+        assert (exc.tested_k, exc.lower_bound, exc.upper_bound) == (13, 6, 13)
         assert exc.nodes_explored == 30_001
-        assert exc.certificate.colors == _digits("000111222133312444123")
+        assert exc.certificate.colors == _digits("0001112221333124441235551234")
 
 
 class TestExactPhi:
@@ -305,8 +332,11 @@ class TestExactPhi:
         with pytest.raises(BudgetExceeded):
             exact_phi(petersen, budget=Budget(time_limit=0.0))
 
-    # KG(7,3): the heuristic's seeded phase lifts 3 colors to 5; KG(14,2)
-    @pytest.mark.parametrize("params", [KneserParams(3, 1), KneserParams(2, 10)])
+    # KG(7,3): the heuristic's seeded phase lifts 3 colors to 5; KG(14,2);
+    # KG(8,2), whose seed tuples come from the orbit table
+    @pytest.mark.parametrize(
+        "params", [KneserParams(3, 1), KneserParams(2, 10), KneserParams(2, 4)]
+    )
     def test_time_budget_covers_heuristic(self, params):
         g = build_graph(params)
         fallback = _eliminate_undominated(g, _greedy_proper(g, [0]), [0])
@@ -350,6 +380,23 @@ class TestHeuristic:
         result = heuristic_b_coloring(g)
         assert result.phi == 1
         assert is_b_coloring(g, result.certificate).valid
+
+    # (steps from phi_upper_bound, steps from degree_bound): phase 2 of
+    # KG(12,2) skips the 16 attempts at k = 46..31, of KG(14,2) the 28 at 67..40
+    @pytest.mark.parametrize(
+        "params,steps",
+        [(KneserParams(2, 8), (291, 1_744)), (KneserParams(2, 10), (424, 3_735))],
+    )
+    def test_phase_two_starts_at_the_upper_bound(self, params, steps):
+        g = build_graph(params)
+        result = heuristic_b_coloring(g)
+        assert result.stats.nodes_explored == steps[0]
+        # every attempt above the bound fails, so starting there changes no
+        # certificate: it only saves their steps
+        skipped = [0]
+        for k in range(degree_bound(g), phi_upper_bound(g), -1):
+            assert _seeded_greedy(g, k, skipped) is None
+        assert steps[0] + skipped[0] == steps[1]
 
     def test_always_valid_on_random_graphs(self):
         for seed in range(20):
