@@ -3,7 +3,9 @@ structure-analysis reports, and exact-rational rendering.
 
 Field names and orders are frozen in docs/SCHEMAS.md; graph files tagged with
 Kneser parameters are re-derived from those parameters on load and the stored
-edge list must match exactly.
+edge list must match exactly. Graph files are read once, line by line, by one
+loop that `load_graph` and `dimacs_loads` share: memory grows with the graph,
+not with the file.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from .bcoloring import Coloring, ProofAnalysis
 from .bounds import BoundsReport, ScanRow
@@ -63,59 +65,70 @@ def dimacs_dumps(graph: Graph) -> str:
 
 
 def dimacs_loads(text: str) -> Graph:
-    """Parse a DIMACS edge file, folding each edge into per-vertex masks as
-    it is read; the `p` line may come anywhere. A file tagged with Kneser
-    parameters must hold exactly the edges those parameters build."""
+    """Parse DIMACS text with the line loop `load_graph` uses; CRLF and bare
+    CR line endings read as LF."""
+    return _dimacs_read(io.StringIO(text, newline=None))
+
+
+def _dimacs_read(lines: Iterable[str]) -> Graph:
+    """Parse a DIMACS edge file in one pass over its lines, folding each edge
+    into per-vertex masks as it is read; the `p` line may come anywhere. No
+    line is kept, so memory grows with the graph, not with the file. A file
+    tagged with Kneser parameters must hold exactly the edges those
+    parameters build."""
     declared: tuple[int, int] | None = None
     params: KneserParams | None = None
     masks: list[int] = []
+    size = 0  # len(masks)
     # edges read before the p line, or past its vertex count
     unplaced: list[tuple[int, int]] = []
     top = -1
     edge_lines = 0
-    for raw in io.StringIO(text, newline=None):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("c"):
-            m = _KNESER_COMMENT.match(line)
-            if m:
-                params = KneserParams(int(m.group(1)), int(m.group(2)))
-            continue
-        if line.startswith("p"):
-            m = _PROBLEM_LINE.match(line)
-            if not m:
-                raise ValueError(f"malformed problem line: {line!r}")
-            declared = (int(m.group(1)), int(m.group(2)))
-            del masks[declared[0]:]
-            masks.extend([0] * (declared[0] - len(masks)))
-            for u, v in unplaced:
-                if v < declared[0]:
-                    masks[u] |= 1 << v
-                    masks[v] |= 1 << u
-            unplaced = [(u, v) for u, v in unplaced if v >= declared[0]]
-            continue
-        if line.startswith("e"):
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"malformed edge line: {line!r}")
+    for line in lines:
+        parts = line.split()
+        if len(parts) == 3 and parts[0] == "e":
             try:
                 u, v = int(parts[1]), int(parts[2])
             except ValueError:
-                raise ValueError(f"malformed edge line: {line!r}") from None
+                raise ValueError(f"malformed edge line: {line.strip()!r}") from None
             if u == v or u < 1 or v < 1:
                 raise ValueError(f"invalid edge {u} {v}")
-            u, v = min(u, v) - 1, max(u, v) - 1
+            u, v = (u - 1, v - 1) if u < v else (v - 1, u - 1)
             if v > top:
                 top = v
-            if v < len(masks):
+            if v < size:
                 masks[u] |= 1 << v
                 masks[v] |= 1 << u
             else:
                 unplaced.append((u, v))
             edge_lines += 1
             continue
-        raise ValueError(f"unrecognized DIMACS line: {line!r}")
+        if not parts:
+            continue
+        line = line.strip()
+        first = line[0]
+        if first == "c":
+            m = _KNESER_COMMENT.match(line)
+            if m:
+                params = KneserParams(int(m.group(1)), int(m.group(2)))
+        elif first == "p":
+            m = _PROBLEM_LINE.match(line)
+            if not m:
+                raise ValueError(f"malformed problem line: {line!r}")
+            declared = (int(m.group(1)), int(m.group(2)))
+            size = declared[0]
+            del masks[size:]
+            masks.extend([0] * (size - len(masks)))
+            for u, v in unplaced:
+                if v < size:
+                    masks[u] |= 1 << v
+                    masks[v] |= 1 << u
+            unplaced = [(u, v) for u, v in unplaced if v >= size]
+        elif first == "e":
+            # a wrong token count, or a first token such as `e1` or `edge`
+            raise ValueError(f"malformed edge line: {line!r}")
+        else:
+            raise ValueError(f"unrecognized DIMACS line: {line!r}")
     if declared is None:
         raise ValueError("missing 'p edge' header")
     if top >= declared[0]:
@@ -146,7 +159,10 @@ def write_graph(path: str | Path, graph: Graph) -> None:
 
 
 def load_graph(path: str | Path) -> Graph:
-    return dimacs_loads(Path(path).read_text())
+    """Read a DIMACS file once, line by line, with universal newlines; the
+    file is never held whole in memory."""
+    with Path(path).open() as lines:
+        return _dimacs_read(lines)
 
 
 # ---------------------------------------------------------------------------

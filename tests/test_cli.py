@@ -5,6 +5,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,9 @@ from bkneser.formats import (
     certificate_dict,
     dimacs_dumps,
     dimacs_loads,
+    load_graph,
     read_certificate,
+    write_graph,
 )
 from bkneser.solver import _eliminate_undominated, _greedy_proper
 
@@ -35,13 +38,32 @@ def run_cli(args, cwd, env=None):
     )
 
 
+def _graph_file(tmp_path, text):
+    """A file holding exactly the bytes of `text`, line endings included."""
+    path = tmp_path / "g.col"
+    path.write_bytes(text.encode())
+    return path
+
+
+def _load_both(tmp_path, text):
+    """Parse `text` through both entry points of the one DIMACS reader,
+    `dimacs_loads` and `load_graph` of a file holding it, which must agree on
+    masks, params and subsets."""
+    from_text = dimacs_loads(text)
+    from_file = load_graph(_graph_file(tmp_path, text))
+    assert from_file.masks == from_text.masks
+    assert from_file.params == from_text.params
+    assert from_file.subsets == from_text.subsets
+    return from_text
+
+
 class TestFormats:
-    def test_dimacs_roundtrip_petersen(self, petersen):
+    def test_dimacs_roundtrip_petersen(self, tmp_path, petersen):
         text = dimacs_dumps(petersen)
         lines = text.splitlines()
         assert lines[0] == "c kneser n=2 k=1"
         assert lines[1] == "p edge 10 15"
-        parsed = dimacs_loads(text)
+        parsed = _load_both(tmp_path, text)
         assert parsed.params == KneserParams(2, 1)
         assert list(parsed.edges()) == list(petersen.edges())
 
@@ -78,13 +100,38 @@ class TestFormats:
         ],
         ids=["bad-endpoint", "endpoint-before-p", "count", "duplicate", "kneser"],
     )
-    def test_dimacs_rejects(self, text, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            dimacs_loads(text)
+    def test_dimacs_rejects(self, tmp_path, text, message):
+        path = _graph_file(tmp_path, text)
+        for read, source in ((dimacs_loads, text), (load_graph, path)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                read(source)
 
-    def test_dimacs_edges_before_problem_line(self):
-        g = dimacs_loads("e 2 3\nc note\ne 1 2\np edge 3 2\n")
+    def test_dimacs_edges_before_problem_line(self, tmp_path):
+        g = _load_both(tmp_path, "e 2 3\nc note\ne 1 2\np edge 3 2\n")
         assert list(g.edges()) == [(0, 1), (1, 2)]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_dimacs_line_endings(self, tmp_path, petersen, newline):
+        # untagged, so the masks come from the edge lines, not from a rebuild
+        lines = ["c petersen", *dimacs_dumps(petersen).splitlines()[1:]]
+        g = _load_both(tmp_path, newline.join(lines) + newline)
+        assert g.params is None
+        assert g.masks == petersen.masks
+
+    def test_load_graph_streams(self, tmp_path):
+        # KG(12,4): 17,325 edge lines, about 166 KB; the reader keeps no line
+        # and no copy of the text, so its peak stays near the graph's own size
+        path = tmp_path / "g.col"
+        write_graph(path, build_graph(KneserParams(4, 4)))
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            graph = load_graph(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert graph.edge_count == 17325
+        assert peak < 2 * size, (peak, size)
 
     def test_certificate_roundtrip(self, tmp_path):
         cert = Coloring.from_sequence([0, 1, 0, 2])
@@ -547,6 +594,15 @@ _MALFORMED_INPUTS = [
         "non-integer-endpoint", "solve", "p edge 2 1\ne 1 x\n",
         "malformed edge line: 'e 1 x'",
     ),
+    # the first token of an edge line is exactly `e`
+    _bad_graph(
+        "glued-edge-token", "solve", "p edge 3 1\ne1 2 3\n",
+        "malformed edge line: 'e1 2 3'",
+    ),
+    _bad_graph(
+        "edge-word", "verify", "p edge 3 1\nedge 2 3\n",
+        "malformed edge line: 'edge 2 3'",
+    ),
     *[
         _bad_graph(
             case_id, command, json.dumps(doc),
@@ -628,6 +684,16 @@ class TestUsageErrors:
         assert proc.returncode == EXIT_USAGE, proc.stdout
         assert "Traceback" not in proc.stderr
         assert message in proc.stderr
+
+    def test_non_utf8_graph_file_exits_2(self, tmp_path):
+        # files are read in the locale's encoding; UTF-8 mode pins it here
+        (tmp_path / "g.col").write_bytes(b"p edge 2 1\ne 1 \xff2\n")
+        proc = run_cli(
+            ["solve", "g.col"], cwd=tmp_path, env=dict(os.environ, PYTHONUTF8="1")
+        )
+        assert proc.returncode == EXIT_USAGE, proc.stdout
+        assert "Traceback" not in proc.stderr
+        assert "error: 'utf-8' codec can't decode byte 0xff" in proc.stderr
 
 
 class TestReadme:
