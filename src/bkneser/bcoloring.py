@@ -13,10 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 from itertools import islice
+from operator import and_
 from typing import Iterable, Mapping, Sequence
 
-from .kneser import Graph, KneserParams, VertexSubset, bit_indices
+from .kneser import Graph, KneserParams, bit_indices
 
 
 @dataclass(frozen=True)
@@ -44,12 +46,6 @@ class Coloring:
         for c in seq:
             out.append(remap.setdefault(c, len(remap)))
         return cls(tuple(out), len(remap))
-
-    def canonical(self) -> Coloring:
-        return Coloring.from_sequence(self.colors)
-
-    def class_members(self, color: int) -> tuple[int, ...]:
-        return tuple(v for v, c in enumerate(self.colors) if c == color)
 
     def classes(self) -> tuple[tuple[int, ...], ...]:
         out: list[list[int]] = [[] for _ in range(self.color_count)]
@@ -81,14 +77,6 @@ class BColoringVerdict:
         return self.valid
 
 
-def _require_matching_domain(graph: Graph, coloring: Coloring) -> None:
-    if len(coloring.colors) != graph.vertex_count:
-        raise ValueError(
-            f"coloring covers {len(coloring.colors)} vertices, "
-            f"graph has {graph.vertex_count}"
-        )
-
-
 def class_masks(colors: Sequence[int], count: int) -> list[int]:
     """One vertex bitmask per color class."""
     out = [0] * count
@@ -97,63 +85,38 @@ def class_masks(colors: Sequence[int], count: int) -> list[int]:
     return out
 
 
-def is_proper(
-    graph: Graph, coloring: Coloring
-) -> tuple[bool, tuple[int, int] | None]:
-    """True iff no edge joins two same-colored vertices; else the
-    lexicographically first violating edge."""
-    _require_matching_domain(graph, coloring)
-    colors = coloring.colors
-    return _check_proper(graph, colors, class_masks(colors, coloring.color_count))
-
-
-def _check_proper(
-    graph: Graph, colors: Sequence[int], classes: list[int]
-) -> tuple[bool, tuple[int, int] | None]:
-    # The first vertex with a same-colored neighbor has none below it, or
-    # that neighbor would have come first; so its lowest clash is the edge.
-    for u, m in enumerate(graph.masks):
-        clash = m & classes[colors[u]]
-        if clash:
-            return False, (u, (clash & -clash).bit_length() - 1)
-    return True, None
-
-
 def _sees_all_colors(graph: Graph, classes: list[int], v: int) -> bool:
     closed = graph.masks[v] | (1 << v)
     return all(closed & cm for cm in classes)
 
 
-def dominating_vertices(graph: Graph, coloring: Coloring, color: int) -> set[int]:
-    """Vertices of the given class whose closed neighborhood realizes every color.
-
-    Assumes the coloring is proper; only the color index is validated here.
-    """
-    _require_matching_domain(graph, coloring)
-    if not 0 <= color < coloring.color_count:
-        raise ValueError(f"color {color} out of range 0..{coloring.color_count - 1}")
-    classes = class_masks(coloring.colors, coloring.color_count)
-    return {
-        v for v in bit_indices(classes[color]) if _sees_all_colors(graph, classes, v)
-    }
-
-
 def is_b_coloring(
     graph: Graph, coloring: Coloring, all_witnesses: bool = False
 ) -> BColoringVerdict:
-    """Verify properness plus one dominating vertex per class.
+    """Verify properness plus one dominating vertex per class: a member whose
+    closed neighborhood realizes every color.
 
     Short-circuits on the first witness per class unless all_witnesses is set,
     in which case every witness is enumerated.
     """
-    _require_matching_domain(graph, coloring)
+    if len(coloring.colors) != graph.vertex_count:
+        raise ValueError(
+            f"coloring covers {len(coloring.colors)} vertices, "
+            f"graph has {graph.vertex_count}"
+        )
     colors = coloring.colors
     classes = class_masks(colors, coloring.color_count)
-    proper, edge = _check_proper(graph, colors, classes)
-    if not proper:
-        return BColoringVerdict(
-            False, reason=BColoringFailure.NOT_PROPER, violating_edge=edge
-        )
+    # The first vertex with a same-colored neighbor has none below it, or
+    # that neighbor would have come first; so its lowest clash is the
+    # lexicographically first violating edge.
+    for u, m in enumerate(graph.masks):
+        clash = m & classes[colors[u]]
+        if clash:
+            return BColoringVerdict(
+                False,
+                reason=BColoringFailure.NOT_PROPER,
+                violating_edge=(u, (clash & -clash).bit_length() - 1),
+            )
     first: list[int] = []
     full: list[tuple[int, ...]] = []
     for c, members in enumerate(classes):
@@ -176,16 +139,12 @@ def is_b_coloring(
     )
 
 
-def class_core(members: Iterable[VertexSubset]) -> VertexSubset:
-    """Intersection of all member subsets of a color class."""
-    it = iter(members)
-    try:
-        core = next(it)
-    except StopIteration:
-        raise ValueError("class_core requires at least one member") from None
-    for subset in it:
-        core = core.intersection(subset)
-    return core
+def class_core(members: Iterable[int]) -> int:
+    """Intersection (bitwise AND) of the subset masks of a color class."""
+    members = tuple(members)
+    if not members:
+        raise ValueError("class_core requires at least one member")
+    return reduce(and_, members)
 
 
 class ProofStep(str, Enum):
@@ -207,7 +166,7 @@ class ProofCheckFailure:
 class ClassAnalysis:
     color: int
     members: tuple[int, ...]
-    core: VertexSubset
+    core: int  # subset mask, element i at bit i-1
     dominating: tuple[int, ...]
     non_intersecting: bool
 
@@ -271,7 +230,7 @@ def analyze_proof_structure(
                 members=members,
                 core=core,
                 dominating=verdict.all_witnesses[c],
-                non_intersecting=core.is_empty(),
+                non_intersecting=core == 0,
             )
         )
 
@@ -279,16 +238,18 @@ def analyze_proof_structure(
 
     for i, c1 in enumerate(family):
         for c2 in family[i + 1 :]:
-            if not classes[c1].core.is_disjoint(classes[c2].core):
+            shared = classes[c1].core & classes[c2].core
+            if shared:
+                elements = ",".join(str(e + 1) for e in bit_indices(shared))
                 failures.append(
                     ProofCheckFailure(
                         ProofStep.CORE_DISJOINTNESS,
-                        f"cores of classes {c1} and {c2} share "
-                        f"{classes[c1].core.intersection(classes[c2].core)}",
+                        f"cores of classes {c1} and {c2} share {{{elements}}}",
                     )
                 )
 
-    injection = {c: classes[c].core.min_element() for c in family}
+    # a core's minimum element is its lowest set bit, 1-indexed
+    injection = {c: (classes[c].core & -classes[c].core).bit_length() for c in family}
     if len(set(injection.values())) != len(injection):
         failures.append(
             ProofCheckFailure(

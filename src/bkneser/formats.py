@@ -72,15 +72,16 @@ def dimacs_loads(text: str) -> Graph:
 
 def _dimacs_read(lines: Iterable[str]) -> Graph:
     """Parse a DIMACS edge file in one pass over its lines, folding each edge
-    into per-vertex masks as it is read; the `p` line may come anywhere. No
-    line is kept, so memory grows with the graph, not with the file. A file
+    into per-vertex masks as it is read; the one `p` line may come anywhere.
+    No line is kept, so memory grows with the graph, not with the file. An
+    edge past the vertex count is only remembered through `top`. A file
     tagged with Kneser parameters must hold exactly the edges those
     parameters build."""
     declared: tuple[int, int] | None = None
     params: KneserParams | None = None
     masks: list[int] = []
     size = 0  # len(masks)
-    # edges read before the p line, or past its vertex count
+    # edges read before the p line
     unplaced: list[tuple[int, int]] = []
     top = -1
     edge_lines = 0
@@ -99,7 +100,7 @@ def _dimacs_read(lines: Iterable[str]) -> Graph:
             if v < size:
                 masks[u] |= 1 << v
                 masks[v] |= 1 << u
-            else:
+            elif declared is None:
                 unplaced.append((u, v))
             edge_lines += 1
             continue
@@ -112,18 +113,19 @@ def _dimacs_read(lines: Iterable[str]) -> Graph:
             if m:
                 params = KneserParams(int(m.group(1)), int(m.group(2)))
         elif first == "p":
+            if declared is not None:
+                raise ValueError(f"repeated problem line: {line!r}")
             m = _PROBLEM_LINE.match(line)
             if not m:
                 raise ValueError(f"malformed problem line: {line!r}")
             declared = (int(m.group(1)), int(m.group(2)))
             size = declared[0]
-            del masks[size:]
-            masks.extend([0] * (size - len(masks)))
+            masks = [0] * size
             for u, v in unplaced:
                 if v < size:
                     masks[u] |= 1 << v
                     masks[v] |= 1 << u
-            unplaced = [(u, v) for u, v in unplaced if v >= size]
+            unplaced = []
         elif first == "e":
             # a wrong token count, or a first token such as `e1` or `edge`
             raise ValueError(f"malformed edge line: {line!r}")
@@ -133,7 +135,7 @@ def _dimacs_read(lines: Iterable[str]) -> Graph:
         raise ValueError("missing 'p edge' header")
     if top >= declared[0]:
         raise ValueError(f"edge endpoint {top + 1} exceeds vertex count")
-    graph = Graph._from_masks(masks)
+    graph = Graph(masks)
     if graph.edge_count != declared[1]:
         raise ValueError(
             f"edge count mismatch: declared {declared[1]}, found {graph.edge_count}"
@@ -243,7 +245,7 @@ def proof_analysis_dict(analysis: ProofAnalysis) -> dict[str, Any]:
             {
                 "color": ca.color,
                 "members": list(ca.members),
-                "core": list(ca.core.elements()),
+                "core": [e + 1 for e in bit_indices(ca.core)],
                 "dominating": list(ca.dominating),
                 "non_intersecting": ca.non_intersecting,
             }

@@ -264,7 +264,7 @@ def _seed_tuples(graph: Graph, k: int) -> Iterator[tuple[int, ...]]:
 
     orbits = representatives(graph.params.ground_size, graph.params.n, k)
     if orbits is not None:
-        index = {s.bits: v for v, s in enumerate(graph.subsets)}
+        index = {s: v for v, s in enumerate(graph.subsets)}
         for members in orbits:
             yield tuple(sorted(index[m] for m in members))
         return
@@ -276,8 +276,8 @@ def _seed_tuples(graph: Graph, k: int) -> Iterator[tuple[int, ...]]:
         for tail in combinations(others, k - 2):
             yield tuple(sorted((0, rep, *tail)))
 
-    base = graph.subsets[0].bits
-    meet = [(s.bits & base).bit_count() for s in graph.subsets]
+    base = graph.subsets[0]
+    meet = [(s & base).bit_count() for s in graph.subsets]
     rest = candidates[1:]
     branches = []
     for t in range(graph.params.n):
@@ -510,8 +510,9 @@ def heuristic_b_coloring(
     drops by one; properness is preserved throughout); (2) seeded greedy
     attempts for each larger k, descending from phi_upper_bound (no coloring
     with more colors can pass the verifier), with a bounded single-vertex
-    repair pass, kept only if the verifier accepts the result. Phase 2 starts
-    no further attempt once `deadline`, a time.monotonic() value, has passed.
+    repair pass, kept only if the verifier accepts the result. Once
+    `deadline`, a time.monotonic() value, has passed, phase 2 abandons its
+    attempt and starts no other; without one it never reads the clock.
     """
     n = graph.vertex_count
     if n == 0:
@@ -523,7 +524,7 @@ def heuristic_b_coloring(
     for k in range(phi_upper_bound(graph), base.color_count, -1):
         if _expired(deadline):
             break
-        attempt = _seeded_greedy(graph, k, steps)
+        attempt = _seeded_greedy(graph, k, steps, deadline)
         if attempt is not None:
             best = attempt
             break
@@ -587,8 +588,11 @@ def _eliminate_undominated(
     raise RuntimeError("internal error: undominated-class elimination diverged")
 
 
-def _seeded_greedy(graph: Graph, k: int, steps: list[int]) -> Coloring | None:
-    """One greedy attempt at a k-color b-coloring; None when it fails."""
+def _seeded_greedy(
+    graph: Graph, k: int, steps: list[int], deadline: float | None = None
+) -> Coloring | None:
+    """One greedy attempt at a k-color b-coloring; None when it fails or
+    `deadline` passes, checked once per vertex and once per repair."""
     adj = graph.masks
     order = _largest_first(adj)
     seeds = [v for v in order if adj[v].bit_count() >= k - 1][:k]
@@ -602,6 +606,8 @@ def _seeded_greedy(graph: Graph, k: int, steps: list[int]) -> Coloring | None:
     for v in order:
         if colors[v] >= 0:
             continue
+        if _expired(deadline):
+            return None
         steps[0] += 1
         avail = [c for c in range(k) if not adj[v] & classes[c]]
         if not avail:
@@ -611,6 +617,8 @@ def _seeded_greedy(graph: Graph, k: int, steps: list[int]) -> Coloring | None:
         colors[v] = c
         classes[c] |= 1 << v
     for _ in range(k + 1):
+        if _expired(deadline):
+            return None
         coloring = Coloring.from_sequence(colors)
         verdict = is_b_coloring(graph, coloring)
         if verdict.valid:

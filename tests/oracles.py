@@ -10,8 +10,16 @@ from itertools import combinations
 
 
 def adjacency_sets(graph) -> list[set[int]]:
-    """Extract plain adjacency sets from a package Graph."""
-    return [set(graph.neighbors(v)) for v in range(graph.vertex_count)]
+    """Extract plain adjacency sets from the masks of a package Graph."""
+    out = []
+    for m in graph.masks:
+        ns = set()
+        while m:
+            low = m & -m
+            ns.add(low.bit_length() - 1)
+            m ^= low
+        out.append(ns)
+    return out
 
 
 def set_partitions(n: int, max_blocks: int | None = None):

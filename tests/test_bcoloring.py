@@ -9,18 +9,23 @@ from bkneser import (
     BColoringFailure,
     Coloring,
     KneserParams,
+    Graph,
     ProofStep,
-    VertexSubset,
     analyze_proof_structure,
     build_graph,
     class_core,
-    dominating_vertices,
     exact_phi,
     is_b_coloring,
-    is_proper,
 )
+from bkneser.formats import proof_analysis_dict
 
-from oracles import adjacency_sets, naive_is_b_coloring, proper_partitions
+from oracles import (
+    adjacency_sets,
+    naive_dominating,
+    naive_is_b_coloring,
+    naive_is_proper,
+    proper_partitions,
+)
 
 
 class TestColoring:
@@ -39,13 +44,12 @@ class TestColoring:
 
     def test_class_members(self):
         c = Coloring.from_sequence([0, 1, 0, 2])
-        assert c.class_members(0) == (0, 2)
         assert c.classes() == ((0, 2), (1,), (3,))
 
     @given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=12))
     def test_canonicalization_idempotent(self, labels):
         once = Coloring.from_sequence(labels)
-        assert once.canonical() == once
+        assert Coloring.from_sequence(once.colors) == once
         # classes are numbered by ascending minimum vertex index
         first_seen = []
         for v, c in enumerate(once.colors):
@@ -55,47 +59,53 @@ class TestColoring:
 
 
 class TestIsProper:
+    """Properness, the first check of is_b_coloring."""
+
     def test_k3_examples(self, k3):
-        ok, edge = is_proper(k3, Coloring.from_sequence([0, 1, 2]))
-        assert ok and edge is None
-        ok, edge = is_proper(k3, Coloring.from_sequence([0, 0, 1]))
-        assert not ok and edge == (0, 1)
+        verdict = is_b_coloring(k3, Coloring.from_sequence([0, 1, 2]))
+        assert verdict.valid and verdict.violating_edge is None
+        verdict = is_b_coloring(k3, Coloring.from_sequence([0, 0, 1]))
+        assert verdict.reason is BColoringFailure.NOT_PROPER
+        assert verdict.violating_edge == (0, 1)
 
     def test_domain_mismatch(self, k3):
-        with pytest.raises(ValueError):
-            is_proper(k3, Coloring.from_sequence([0, 1]))
+        with pytest.raises(ValueError, match="covers 2 vertices, graph has 3"):
+            is_b_coloring(k3, Coloring.from_sequence([0, 1]))
 
     def test_petersen_three_coloring(self, petersen):
-        # derive one proper 3-coloring by naive enumeration, then verify
+        # every proper 3-coloring passes the properness check, and the first
+        # violating edge of any improper one is the lexicographically first
         adj = adjacency_sets(petersen)
-        colors = next(iter(proper_partitions(adj, 3)))
-        ok, edge = is_proper(petersen, Coloring.from_sequence(colors))
-        assert ok and edge is None
+        for colors in proper_partitions(adj, 3):
+            verdict = is_b_coloring(petersen, Coloring.from_sequence(colors))
+            assert verdict.reason is not BColoringFailure.NOT_PROPER
+        colors = [0] * 10
+        verdict = is_b_coloring(petersen, Coloring.from_sequence(colors))
+        first = min((u, v) for u in range(10) for v in adj[u] if u < v)
+        assert verdict.violating_edge == first
 
 
 class TestDominatingVertices:
+    """Dominating vertices, as is_b_coloring(..., all_witnesses=True) lists them."""
+
     def test_complete_graph_all_dominating(self, k3):
         c = Coloring.from_sequence([0, 1, 2])
-        for color in range(3):
-            assert dominating_vertices(k3, c, color) == {color}
+        verdict = is_b_coloring(k3, c, all_witnesses=True)
+        assert verdict.all_witnesses == ((0,), (1,), (2,))
 
     def test_matching_two_sides(self, matching6):
         # one endpoint of each matching edge per side
-        colors = [0] * 6
-        for u, v in matching6.edges():
-            colors[u], colors[v] = 0, 1
+        colors = [int(u > w) for u, (w,) in enumerate(adjacency_sets(matching6))]
         c = Coloring.from_sequence(colors)
-        assert dominating_vertices(matching6, c, 0) | dominating_vertices(
-            matching6, c, 1
-        ) == set(range(6))
-
-    def test_color_out_of_range(self, k3):
-        with pytest.raises(ValueError):
-            dominating_vertices(k3, Coloring.from_sequence([0, 1, 2]), 3)
+        verdict = is_b_coloring(matching6, c, all_witnesses=True)
+        assert set(verdict.all_witnesses[0]) | set(verdict.all_witnesses[1]) == set(
+            range(6)
+        )
 
     def test_petersen_4_3_3_coloring_has_witnesses(self, petersen):
         # among all proper 3-colorings with class sizes 4,3,3 at least one
-        # has a dominating vertex in every class
+        # has a dominating vertex in every class; every listed witness
+        # agrees with the naive oracle
         adj = adjacency_sets(petersen)
         found = False
         for colors in proper_partitions(adj, 3):
@@ -103,9 +113,12 @@ class TestDominatingVertices:
             if sizes != [3, 3, 4]:
                 continue
             c = Coloring.from_sequence(colors)
-            if all(dominating_vertices(petersen, c, color) for color in range(3)):
+            verdict = is_b_coloring(petersen, c, all_witnesses=True)
+            expected = [naive_dominating(adj, c.colors, color) for color in range(3)]
+            assert verdict.valid == all(expected)
+            if verdict.valid:
+                assert [set(w) for w in verdict.all_witnesses] == expected
                 found = True
-                break
         assert found
 
 
@@ -139,9 +152,7 @@ class TestIsBColoring:
         assert count > 0
 
     def test_all_witnesses_flag(self, matching6):
-        colors = [0] * 6
-        for u, v in matching6.edges():
-            colors[u], colors[v] = 0, 1
+        colors = [int(u > w) for u, (w,) in enumerate(adjacency_sets(matching6))]
         verdict = is_b_coloring(
             matching6, Coloring.from_sequence(colors), all_witnesses=True
         )
@@ -151,14 +162,13 @@ class TestIsBColoring:
 
     def test_valid_implies_proper_exhaustive_small(self, k3):
         # every labelling of K_3 and K_2: valid b-coloring implies proper
-        from bkneser import build_graph
-
         k2 = build_graph(KneserParams(1, 0))
         for graph, n in ((k3, 3), (k2, 2)):
+            adj = adjacency_sets(graph)
             for labels in _all_labellings(n):
                 verdict = is_b_coloring(graph, Coloring.from_sequence(labels))
                 if verdict.valid:
-                    assert is_proper(graph, Coloring.from_sequence(labels))[0]
+                    assert naive_is_proper(adj, labels)
 
     def test_verdict_matches_naive_oracle_under_mutation(self, petersen, petersen_exact):
         # recolor any single dominating witness to each alternative color and
@@ -190,22 +200,16 @@ def _all_labellings(n):
 
 class TestClassCore:
     def test_singleton(self):
-        s = VertexSubset.from_elements([1, 2], 5)
-        assert class_core([s]) == s
+        assert class_core([0b00011]) == 0b00011
 
     def test_pairwise(self):
-        a = VertexSubset.from_elements([1, 2], 5)
-        b = VertexSubset.from_elements([2, 3], 5)
-        assert class_core([a, b]).elements() == (2,)
+        assert class_core([0b00011, 0b00110]) == 0b00010  # {1,2} & {2,3} = {2}
 
     def test_triangle_family_has_empty_core(self):
         # minimal witness that a class with empty core needs three members
-        members = [
-            VertexSubset.from_elements(e, 3)
-            for e in ([1, 2], [2, 3], [1, 3])
-        ]
-        assert class_core(members).is_empty()
-        assert not class_core(members[:2]).is_empty()
+        members = [0b011, 0b110, 0b101]  # {1,2}, {2,3}, {1,3}
+        assert class_core(members) == 0
+        assert class_core(members[:2]) != 0
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -217,11 +221,8 @@ class TestClassCore:
             st.integers(min_value=0, max_value=2**8 - 1), min_size=1, max_size=5
         )
     )
-    def test_order_independence(self, bit_list):
-        members = [VertexSubset(b, 8) for b in bit_list]
-        cores = {
-            class_core(perm).bits for perm in permutations(members)
-        }
+    def test_order_independence(self, members):
+        cores = {class_core(perm) for perm in permutations(members)}
         assert len(cores) == 1
 
 
@@ -232,7 +233,12 @@ class TestAnalyzeProofStructure:
             params, k3, Coloring.from_sequence([0, 1, 2])
         )
         assert analysis.ok
-        assert [ca.core.elements() for ca in analysis.classes] == [(1,), (2,), (3,)]
+        assert [ca.core for ca in analysis.classes] == [0b001, 0b010, 0b100]
+        assert [c["core"] for c in proof_analysis_dict(analysis)["classes"]] == [
+            [1],
+            [2],
+            [3],
+        ]
         assert analysis.intersecting_family == (0, 1, 2)
         assert analysis.injection == {0: 1, 1: 2, 2: 3}
         counting = analysis.counting
@@ -278,6 +284,20 @@ class TestAnalyzeProofStructure:
         assert analysis.ok
         assert analysis.counting.color_count == 2
 
+    def test_failures_name_the_shared_core(self, k3):
+        # no b-coloring of a Kneser graph fails a step, so the labels are
+        # forged: K_3 with the pairwise-meeting cores {1,2,3}, {2,3,4}, {1,3,4}
+        forged = Graph(k3.masks, [0b0111, 0b1110, 0b1101], KneserParams(1, 1))
+        analysis = analyze_proof_structure(
+            KneserParams(1, 1), forged, Coloring.from_sequence([0, 1, 2])
+        )
+        assert [(f.step, f.detail) for f in analysis.failures] == [
+            (ProofStep.CORE_DISJOINTNESS, "cores of classes 0 and 1 share {2,3}"),
+            (ProofStep.CORE_DISJOINTNESS, "cores of classes 0 and 2 share {1,3}"),
+            (ProofStep.CORE_DISJOINTNESS, "cores of classes 1 and 2 share {3,4}"),
+            (ProofStep.INJECTION_INJECTIVE, "core minima collide: [1, 1, 2]"),
+        ]
+
     def test_proof_step_names_are_stable(self):
         assert {s.value for s in ProofStep} == {
             "core_disjointness",
@@ -296,6 +316,4 @@ class TestKneserClassesIntersect:
         for members in cert.classes():
             for i, u in enumerate(members):
                 for v in members[i + 1 :]:
-                    a = petersen.subsets[u]
-                    b = petersen.subsets[v]
-                    assert set(a.elements()) & set(b.elements())
+                    assert petersen.subsets[u] & petersen.subsets[v]

@@ -111,15 +111,6 @@ class TestBestUpperBound:
         assert report.bk.value == 1
         assert report.best == 3
 
-    def test_invariant_under_ground_set_mapping(self):
-        for n in range(1, 5):
-            for k in range(0, 8):
-                direct = best_upper_bound(KneserParams(n, k))
-                mapped = best_upper_bound(
-                    KneserParams.from_ground_set(2 * n + k, n)
-                )
-                assert direct == mapped
-
 
 class TestAsymptoticTable:
     def test_row_shape_and_count(self):

@@ -65,7 +65,7 @@ class TestFormats:
         assert lines[1] == "p edge 10 15"
         parsed = _load_both(tmp_path, text)
         assert parsed.params == KneserParams(2, 1)
-        assert list(parsed.edges()) == list(petersen.edges())
+        assert parsed.masks == petersen.masks
 
     def test_dimacs_tamper_detected(self, petersen):
         text = dimacs_dumps(petersen)
@@ -79,7 +79,7 @@ class TestFormats:
     def test_dimacs_untagged(self):
         g = dimacs_loads("p edge 3 2\ne 1 2\ne 2 3\n")
         assert g.params is None
-        assert list(g.edges()) == [(0, 1), (1, 2)]
+        assert g.masks == (0b010, 0b101, 0b010)
 
     def test_dimacs_edge_count_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -97,8 +97,16 @@ class TestFormats:
                 "c kneser n=2 k=1\np edge 10 1\ne 1 2\n",
                 "edge list does not match kneser n=2 k=1",
             ),
+            ("p edge 3 1\ne 1 2\np edge 5 1\n", "repeated problem line: 'p edge 5 1'"),
         ],
-        ids=["bad-endpoint", "endpoint-before-p", "count", "duplicate", "kneser"],
+        ids=[
+            "bad-endpoint",
+            "endpoint-before-p",
+            "count",
+            "duplicate",
+            "kneser",
+            "repeated-p",
+        ],
     )
     def test_dimacs_rejects(self, tmp_path, text, message):
         path = _graph_file(tmp_path, text)
@@ -108,7 +116,7 @@ class TestFormats:
 
     def test_dimacs_edges_before_problem_line(self, tmp_path):
         g = _load_both(tmp_path, "e 2 3\nc note\ne 1 2\np edge 3 2\n")
-        assert list(g.edges()) == [(0, 1), (1, 2)]
+        assert g.masks == (0b010, 0b101, 0b010)
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     def test_dimacs_line_endings(self, tmp_path, petersen, newline):
@@ -162,7 +170,7 @@ class TestGen:
         text = out.read_text()
         assert text == dimacs_dumps(petersen)
         parsed = dimacs_loads(text)
-        assert list(parsed.edges()) == list(petersen.edges())
+        assert parsed.masks == petersen.masks
 
     def test_cap_error(self, tmp_path):
         # KG(30,10) has 30,045,015 vertices, over the enumeration cap
@@ -711,3 +719,10 @@ class TestReadme:
         for command in commands:
             proc = run_cli(command[1:], cwd=tmp_path)
             assert proc.returncode == EXIT_OK, (command, proc.stderr)
+
+    def test_python_api_block_runs(self):
+        # the fenced block under "## Python API", executed as written
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("## Python API", 1)[1].split("```")[1]
+        assert block.startswith("python\n")
+        exec(compile(block.removeprefix("python\n"), "README.md", "exec"), {})

@@ -5,65 +5,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bkneser import (
+    Graph,
     InstanceTooLarge,
     KneserParams,
-    VertexSubset,
-    are_adjacent,
-    binomial,
     build_graph,
-    degree_regularity,
     enumerate_vertices,
 )
+from bkneser.kneser import bit_indices
 
 from oracles import kneser_edges, kneser_vertices
 
 
-@pytest.mark.parametrize(
-    "a,b,expected",
-    [
-        (5, 2, 10),
-        (7, 0, 1),
-        (14, 2, 14 * 13 // 2),  # = 91
-        (6, 7, 0),
-        (0, 0, 1),
-    ],
-)
-def test_binomial_values(a, b, expected):
-    assert binomial(a, b) == expected
-
-
-def test_binomial_rejects_negative():
-    with pytest.raises(ValueError):
-        binomial(-1, 2)
-    with pytest.raises(ValueError):
-        binomial(3, -2)
+def _elements(mask):
+    return tuple(i + 1 for i in bit_indices(mask))
 
 
 def test_binomial_exact_at_width():
-    # exceeds 64-bit range; must stay exact
-    assert binomial(64, 32) == 1832624140942590534
-
-
-class TestVertexSubset:
-    def test_from_elements_roundtrip(self):
-        s = VertexSubset.from_elements([3, 1], 5)
-        assert s.elements() == (1, 3)
-        assert s.bits == 0b101
-        assert 1 in s and 3 in s and 2 not in s
-
-    def test_min_element(self):
-        assert VertexSubset.from_elements([4, 2], 6).min_element() == 2
-        with pytest.raises(ValueError):
-            VertexSubset(0, 4).min_element()
-
-    def test_bits_must_fit_ground_set(self):
-        with pytest.raises(ValueError):
-            VertexSubset(0b1000, 3)
-        with pytest.raises(ValueError):
-            VertexSubset.from_elements([4], 3)
-
-    def test_str(self):
-        assert str(VertexSubset.from_elements([1, 2], 5)) == "{1,2}"
+    # C(64, 32) exceeds the 64-bit range; the vertex count must stay exact
+    assert KneserParams(32, 0).vertex_count == 1832624140942590534
 
 
 class TestKneserParams:
@@ -77,26 +36,20 @@ class TestKneserParams:
         with pytest.raises(ValueError):
             KneserParams(1, -1)
 
-    def test_from_ground_set(self):
-        assert KneserParams.from_ground_set(5, 2) == KneserParams(2, 1)
-        assert KneserParams.from_ground_set(4, 2) == KneserParams(2, 0)
-        with pytest.raises(ValueError):
-            KneserParams.from_ground_set(3, 2)  # N < 2m is edgeless
-
 
 class TestEnumerateVertices:
     def test_singletons(self):
         verts = enumerate_vertices(KneserParams(1, 1))
-        assert [v.elements() for v in verts] == [(1,), (2,), (3,)]
+        assert [_elements(v) for v in verts] == [(1,), (2,), (3,)]
 
     def test_kg52_order_and_extremes(self):
         verts = enumerate_vertices(KneserParams(2, 1))
         assert len(verts) == 10
-        assert verts[0].elements() == (1, 2)
-        assert verts[-1].elements() == (4, 5)
+        assert verts[0] == 0b11
+        assert verts[-1] == 0b11000
         # full order agrees with the independent bitmask-sorted enumeration
         expected = [tuple(sorted(s)) for s in kneser_vertices(5, 2)]
-        assert [v.elements() for v in verts] == expected
+        assert [_elements(v) for v in verts] == expected
 
     def test_kg42_count(self):
         assert len(enumerate_vertices(KneserParams(2, 0))) == 6
@@ -124,41 +77,26 @@ class TestEnumerateVertices:
             combinations(range(1, ground + 1), n),
             key=lambda c: sum(1 << (e - 1) for e in c),
         )
-        assert [v.elements() for v in verts] == [tuple(c) for c in expected]
+        assert [_elements(v) for v in verts] == [tuple(c) for c in expected]
 
 
 class TestAdjacency:
-    def test_examples(self):
-        a = VertexSubset.from_elements([1, 2], 5)
-        b = VertexSubset.from_elements([3, 4], 5)
-        c = VertexSubset.from_elements([2, 3], 5)
-        assert are_adjacent(a, b)
-        assert not are_adjacent(a, c)
-        s = VertexSubset.from_elements([1], 3)
-        assert not are_adjacent(s, s)  # irreflexive
+    def test_examples(self, petersen):
+        index = {s: v for v, s in enumerate(petersen.subsets)}
+        a, b, c = index[0b00011], index[0b01100], index[0b00110]  # 12, 34, 23
+        assert petersen.masks[a] >> b & 1
+        assert not petersen.masks[a] >> c & 1
+        # irreflexive
+        assert not any(m >> v & 1 for v, m in enumerate(petersen.masks))
 
-    def test_ground_set_mismatch(self):
-        with pytest.raises(ValueError):
-            are_adjacent(
-                VertexSubset.from_elements([1], 3),
-                VertexSubset.from_elements([1], 4),
-            )
-
-    @given(
-        st.integers(min_value=2, max_value=16).flatmap(
-            lambda ground: st.tuples(
-                st.integers(min_value=0, max_value=2**ground - 1),
-                st.integers(min_value=0, max_value=2**ground - 1),
-                st.just(ground),
-            )
-        )
-    )
-    def test_symmetry_and_set_semantics(self, triple):
-        bits_a, bits_b, ground = triple
-        a = VertexSubset(bits_a, ground)
-        b = VertexSubset(bits_b, ground)
-        assert are_adjacent(a, b) == are_adjacent(b, a)
-        assert are_adjacent(a, b) == (not set(a.elements()) & set(b.elements()))
+    @settings(max_examples=30)
+    @given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=4))
+    def test_symmetry_and_set_semantics(self, n, k):
+        g = build_graph(KneserParams(n, k))
+        for u, (a, mu) in enumerate(zip(g.subsets, g.masks)):
+            for v, (b, mv) in enumerate(zip(g.subsets, g.masks)):
+                assert mu >> v & 1 == mv >> u & 1
+                assert bool(mu >> v & 1) == (not set(_elements(a)) & set(_elements(b)))
 
 
 class TestBuildGraph:
@@ -171,15 +109,15 @@ class TestBuildGraph:
         assert set(petersen.degrees()) == {3}
         # edge set equals the brute-force disjointness oracle
         expected = kneser_edges(kneser_vertices(5, 2))
-        assert set(petersen.edges()) == expected
+        assert petersen.masks == Graph.from_edges(10, expected).masks
 
     def test_perfect_matching(self, matching6):
         assert (matching6.vertex_count, matching6.edge_count) == (6, 3)
         assert set(matching6.degrees()) == {1}
         # each edge joins complementary pairs
-        for u, v in matching6.edges():
-            a, b = matching6.subsets[u], matching6.subsets[v]
-            assert set(a.elements()) | set(b.elements()) == {1, 2, 3, 4}
+        for u, m in enumerate(matching6.masks):
+            for v in bit_indices(m):
+                assert matching6.subsets[u] | matching6.subsets[v] == 0b1111
 
     def test_cap_propagates(self):
         with pytest.raises(InstanceTooLarge, match="too large"):
@@ -193,22 +131,20 @@ class TestBuildGraph:
             if params.vertex_count > 5000:
                 continue
             g = build_graph(params)
-            d = degree_regularity(params)
             assert g.vertex_count == params.vertex_count
-            assert all(g.degree(v) == d for v in range(g.vertex_count))
-            for v in range(g.vertex_count):
-                for u in g.neighbors(v):
-                    assert g.has_edge(u, v)
-                    assert u != v
+            assert set(g.degrees()) == {params.degree}
+            for v, m in enumerate(g.masks):
+                assert not m >> v & 1
+                for u in bit_indices(m):
+                    assert g.masks[u] >> v & 1
             if g.vertex_count > 1000:
                 continue  # the every-pair checks below are quadratic
-            bits = [s.bits for s in g.subsets]
-            for u, a in enumerate(bits):
-                assert [g.has_edge(u, v) for v in range(len(bits))] == [
-                    not a & b for b in bits
+            for u, a in enumerate(g.subsets):
+                assert [bool(g.masks[u] >> v & 1) for v in range(g.vertex_count)] == [
+                    not a & b for b in g.subsets
                 ]
             reference = kneser_edges(kneser_vertices(params.ground_size, n))
-            assert list(g.edges()) == sorted(reference)
+            assert g.masks == Graph.from_edges(g.vertex_count, reference).masks
 
     def test_larger_spot_checks(self):
         # complete graph K_64 (boundary ground set) and a 560-vertex instance
@@ -218,14 +154,14 @@ class TestBuildGraph:
         params = KneserParams(3, 10)
         g2 = build_graph(params)
         assert g2.vertex_count == 560
-        assert set(g2.degrees()) == {degree_regularity(params)}
+        assert set(g2.degrees()) == {params.degree}
 
     def test_enumeration_at_word_boundary(self):
         # ground set exactly 64: enumeration works, stays sorted by bitmask
         verts = enumerate_vertices(KneserParams(2, 60))
         assert len(verts) == 2016
-        assert all(v.size() == 2 for v in verts)
-        assert all(a.bits < b.bits for a, b in zip(verts, verts[1:]))
+        assert all(v.bit_count() == 2 for v in verts)
+        assert all(a < b for a, b in zip(verts, verts[1:]))
 
 
 @pytest.mark.parametrize(
@@ -238,31 +174,15 @@ class TestBuildGraph:
     ],
 )
 def test_degree_regularity(params, expected):
-    assert degree_regularity(params) == expected
+    assert params.degree == expected
 
 
-def test_graph_rejects_asymmetric_adjacency():
-    from bkneser import Graph
-
-    with pytest.raises(ValueError, match="symmetric"):
-        Graph([[1], []])
+def test_from_edges_rejects_bad_edges():
     with pytest.raises(ValueError, match="self-loop"):
-        Graph([[0]])
-    with pytest.raises(ValueError, match="out of range"):
-        Graph([[1], [0, 2]])
-    with pytest.raises(ValueError, match="out of range"):
-        Graph([[-1], []])
+        Graph.from_edges(2, [(1, 1)])
     with pytest.raises(ValueError, match="out of range"):
         Graph.from_edges(2, [(0, 2)])
     with pytest.raises(ValueError, match="out of range"):
         Graph.from_edges(2, [(-1, 1)])
+    assert Graph.from_edges(3, [(0, 1), (2, 1)]).masks == (0b010, 0b101, 0b010)
 
-
-@settings(max_examples=30)
-@given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=3))
-def test_bound_quantities_invariant_under_ground_set_mapping(n, k):
-    direct = KneserParams(n, k)
-    mapped = KneserParams.from_ground_set(direct.ground_size, n)
-    assert mapped == direct
-    assert mapped.vertex_count == direct.vertex_count
-    assert mapped.degree == direct.degree

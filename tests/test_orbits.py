@@ -153,7 +153,7 @@ def test_seed_tuples_are_the_representatives(params):
     for k in range(1, table_levels(ground, 2) + 1):
         tuples = list(_seed_tuples(kg, k))
         assert all(list(t) == sorted(t) for t in tuples)
-        families = [tuple(kg.subsets[v].bits for v in t) for t in tuples]
+        families = [tuple(kg.subsets[v] for v in t) for t in tuples]
         assert families == representatives(ground, 2, k)
 
 

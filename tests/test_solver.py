@@ -1,4 +1,5 @@
 import json
+import time
 from importlib import resources
 from itertools import combinations
 
@@ -47,7 +48,7 @@ SMALL_KNESER = [KneserParams(1, k) for k in range(5)] + [
 
 def _stripped(g):
     """The same graph without its Kneser labels: the unreduced search."""
-    return Graph.from_edges(g.vertex_count, g.edges())
+    return Graph(g.masks)
 
 
 class TestDegreeBound:
@@ -57,7 +58,7 @@ class TestDegreeBound:
         assert degree_bound(matching6) == 2
 
     def test_single_vertex(self):
-        assert degree_bound(Graph([[]])) == 1
+        assert degree_bound(Graph([0])) == 1
 
     def test_star(self):
         # star K_{1,4}: one vertex of degree 4, leaves of degree 1 -> m = 2
@@ -132,7 +133,7 @@ class TestFeasible:
         assert info.value.tested_k == 3
 
     def test_single_class_on_edgeless_graph(self):
-        g = Graph([[], [], []])
+        g = Graph([0, 0, 0])
         cert = feasible_b_coloring(g, 1)
         assert cert is not None
         assert cert.color_count == 1
@@ -177,19 +178,19 @@ class TestKneserReduction:
         # kept: 0 and r_t for the least intersection size t of the others,
         # listed in the lexicographic order of the unreduced search
         kg = build_graph(params)
-        base = kg.subsets[0].bits
-        meet = [(s.bits & base).bit_count() for s in kg.subsets]
+        base = kg.subsets[0]
+        meet = [(s & base).bit_count() for s in kg.subsets]
         first = {}
         for v in range(kg.vertex_count - 1, 0, -1):
             first[meet[v]] = v
-        for m in range(1, kg.degree(0) + 2):
+        for m in range(1, kg.degrees()[0] + 2):
             expected = [
                 c
                 for c in combinations(range(kg.vertex_count), m)
                 if c[0] == 0 and (m == 1 or first[min(meet[v] for v in c[1:])] in c)
             ]
             assert list(_seed_tuples(kg, m)) == expected, m
-        assert list(_seed_tuples(kg, kg.degree(0) + 2)) == []
+        assert list(_seed_tuples(kg, kg.degrees()[0] + 2)) == []
         assert list(_seed_tuples(_stripped(kg), 2)) == list(
             combinations(range(kg.vertex_count), 2)
         )
@@ -299,7 +300,7 @@ class TestExactPhi:
         assert result.infeasible_at == ()
 
     def test_single_vertex(self):
-        result = exact_phi(Graph([[]]))
+        result = exact_phi(Graph([0]))
         assert result.phi == 1
 
     def test_empty_graph_rejected(self):
@@ -347,6 +348,17 @@ class TestExactPhi:
         assert exc.nodes_explored == 0
         assert is_b_coloring(g, exc.certificate).valid
 
+    def test_time_budget_bounds_a_long_heuristic_attempt(self):
+        # KG(16,4): one seeded attempt at k = 496 runs for seconds, so the
+        # deadline has to cut it short, not only stop the next attempt
+        g = build_graph(KneserParams(4, 8))
+        start = time.monotonic()
+        with pytest.raises(BudgetExceeded) as info:
+            exact_phi(g, budget=Budget(time_limit=0.5))
+        assert time.monotonic() - start < 2.5
+        assert (info.value.lower_bound, info.value.upper_bound) == (10, 496)
+        assert is_b_coloring(g, info.value.certificate).valid
+
 
 class TestDeterminism:
     def test_repeat_runs_identical(self, petersen):
@@ -376,7 +388,7 @@ class TestHeuristic:
         assert is_b_coloring(g, result.certificate).valid
 
     def test_edgeless(self):
-        g = Graph([[] for _ in range(5)])
+        g = Graph([0] * 5)
         result = heuristic_b_coloring(g)
         assert result.phi == 1
         assert is_b_coloring(g, result.certificate).valid
@@ -397,6 +409,14 @@ class TestHeuristic:
         for k in range(degree_bound(g), phi_upper_bound(g), -1):
             assert _seeded_greedy(g, k, skipped) is None
         assert steps[0] + skipped[0] == steps[1]
+
+    def test_deadline_cuts_an_attempt_short(self):
+        g = build_graph(KneserParams(4, 8))  # KG(16,4); one attempt takes seconds
+        start = time.monotonic()
+        result = heuristic_b_coloring(g, deadline=start + 0.5)
+        assert time.monotonic() - start < 2.5
+        assert result.phi >= 10
+        assert is_b_coloring(g, result.certificate).valid
 
     def test_always_valid_on_random_graphs(self):
         for seed in range(20):
