@@ -31,10 +31,16 @@ def fraction_str(f: Fraction) -> str:
 
 
 def fraction_decimal_str(f: Fraction) -> str:
-    """Six-place decimal rendering with half-even rounding; storage stays exact."""
+    """Six-place decimal rendering with half-even rounding; storage stays exact.
+
+    The quotient keeps 50 significant digits, or its integer digits and six
+    places when those are more; a quotient that rounds up to one more integer
+    digit still fits the quantized result, which gets one digit more."""
+    digits = len(str(abs(f.numerator) // f.denominator))
     with localcontext() as ctx:
-        ctx.prec = 50
+        ctx.prec = max(50, digits + 6)
         q = Decimal(f.numerator) / Decimal(f.denominator)
+        ctx.prec += 1
         return str(q.quantize(Decimal("0.000001")))
 
 

@@ -6,6 +6,11 @@ a maximum (b-colorability is not monotone in k, so every k above the answer
 is refuted exhaustively). Feasibility search seeds k candidate dominating
 vertices with distinct colors and extends by backtracking with forward
 checking on properness and on each seed retaining a path to domination.
+The checks that do not depend on the color being tried run once per vertex,
+before the loop over its colors (see `_search_with_seeds`); each color tried
+still counts one node before its checks, so node counts, the node at which a
+budget stops and every coloring found are those of checking each color in
+full.
 
 Completeness of the seeding: a dominator system of a k-color b-coloring is a
 set of k vertices, one dominating vertex from each class. The search from a
@@ -171,7 +176,8 @@ def _search_with_seeds(
     The state is kept per color: colored[c] holds the vertices colored c and
     allow[c] the uncolored vertices that may still take c. A seed stays
     viable while its closed neighborhood meets colored[c] | allow[c] for
-    every c.
+    every c. The search counts its nodes in a local and writes the count
+    back to `tracker` when it returns or stops.
     """
     colored = [1 << w for w in seeds]
     free = (1 << len(adj)) - 1 - sum(colored)
@@ -186,61 +192,85 @@ def _search_with_seeds(
                 return None
 
     order = bit_indices(free)
+    depth = len(order)
     max_nodes, deadline = tracker.budget.max_nodes, tracker.deadline
+    nodes = tracker.nodes
 
     def extend(pos: int) -> bool:
         """Color order[pos:]. After coloring v with c, the branch stays open
         while no vertex lost its last color and no seed lost a color. Only c
         (through hit) and, at v, the other colors v allowed became scarcer,
-        and every seed was viable before, so only those are rechecked."""
-        if pos == len(order):
+        and every seed was viable before, so only those are rechecked.
+
+        What does not depend on c is done once per vertex, before the loop
+        over its colors. v leaves every allow[d] once. The colors d whose
+        loss at v strands a seed near v are found once: a child changes only
+        allow[c] and puts v in colored[c], so two such colors fail every
+        child, and one fails every child but its own. And `twice` holds the
+        vertices that two colors still allow: a vertex of hit outside it has
+        lost its last color. Each color of v still counts one node, in the
+        same order and before its checks, so the node counts, the node where
+        a budget stops and the coloring found are those of checking every
+        child in full."""
+        nonlocal nodes
+        if pos == depth:
             return True
         v = order[pos]
         vbit = 1 << v
         adj_v = adj[v]
-        # the closed seed neighborhoods holding v
-        near_v = [cw for cw in closed if cw & vbit]
         mine = [c for c in range(k) if allow[c] & vbit]
+        for d in mine:
+            allow[d] ^= vbit
+        # the only color whose child can keep every seed near v viable:
+        # -1 when any can, k when none can
+        only = -1
+        near_v = [cw for cw in closed if cw & vbit]
+        if near_v:
+            for d in mine:
+                reach_d = colored[d] | allow[d]
+                for cw in near_v:
+                    if not cw & reach_d:
+                        only = d if only < 0 else k
+                        break
+                if only == k:
+                    break
+        once = twice = 0
+        for a in allow:
+            twice |= once & a
+            once |= a
         for c in mine:
-            tracker.nodes += 1
-            if tracker.nodes > max_nodes or (
-                not tracker.nodes % _CLOCK_EVERY and _expired(deadline)
-            ):
+            nodes += 1
+            if nodes > max_nodes or (not nodes % _CLOCK_EVERY and _expired(deadline)):
+                tracker.nodes = nodes
                 raise _StopSearch
-            for d in mine:
-                allow[d] ^= vbit
-            colored[c] |= vbit
-            hit = allow[c] & adj_v
-            allow[c] ^= hit
-            ok = True  # the viability test, inline: it runs at every node
+            if only >= 0 and c != only:
+                continue
+            allow_c = allow[c]
+            hit = allow_c & adj_v
             if hit:
-                if hit & ~reduce(or_, allow):
-                    ok = False
-                else:
-                    reach_c = colored[c] | allow[c]
-                    for cw in closed:
-                        if not cw & reach_c:
-                            ok = False
-                            break
-            if ok and near_v:
-                for d in mine:
-                    if d != c:
-                        reach_d = colored[d] | allow[d]
-                        for cw in near_v:
-                            if not cw & reach_d:
-                                ok = False
-                                break
-                        if not ok:
-                            break
-            if ok and extend(pos + 1):
+                if hit & ~twice:
+                    continue
+                reach_c = (colored[c] | vbit | allow_c) ^ hit
+                ok = True
+                for cw in closed:
+                    if not cw & reach_c:
+                        ok = False
+                        break
+                if not ok:
+                    continue
+            colored[c] |= vbit
+            allow[c] = allow_c ^ hit
+            if extend(pos + 1):
                 return True
-            allow[c] |= hit
+            allow[c] = allow_c
             colored[c] ^= vbit
-            for d in mine:
-                allow[d] |= vbit
+        for d in mine:
+            allow[d] |= vbit
         return False
 
-    if not extend(0):
+    found = extend(0)
+    tracker.nodes = nodes
+    if not found:
         return None
     color = [0] * len(adj)
     for c, members in enumerate(colored):

@@ -2,11 +2,20 @@
 
 Deliberately naive: plain sets and unpruned restricted-growth-string
 enumeration, sharing no code or data structures with the package under test.
+The one exception is `reference_search_with_seeds`, the exact search's kernel
+as it was before its per-vertex checks were hoisted out of the color loop: it
+runs on the package's budget tracker, so that both kernels can be compared
+node for node.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
+from operator import or_
+
+from bkneser.kneser import bit_indices
+from bkneser.solver import _CLOCK_EVERY, _BudgetTracker, _expired, _StopSearch
 
 
 def adjacency_sets(graph) -> list[set[int]]:
@@ -148,3 +157,90 @@ def isomorphic_families(a, b, ground: int) -> bool:
         return False
 
     return place(0)
+
+
+def reference_search_with_seeds(
+    adj: tuple[int, ...], k: int, seeds: tuple[int, ...], tracker: _BudgetTracker
+) -> list[int] | None:
+    """Extend seed colors 0..k-1 on `seeds` to a full coloring where every
+    seed dominates its class; None when this branch is exhausted.
+
+    The state is kept per color: colored[c] holds the vertices colored c and
+    allow[c] the uncolored vertices that may still take c. A seed stays
+    viable while its closed neighborhood meets colored[c] | allow[c] for
+    every c.
+    """
+    colored = [1 << w for w in seeds]
+    free = (1 << len(adj)) - 1 - sum(colored)
+    allow = [free & ~adj[w] for w in seeds]
+    if free & ~reduce(or_, allow):
+        return None
+    closed = [adj[w] | (1 << w) for w in seeds]
+    for c in range(k):
+        reach_c = colored[c] | allow[c]
+        for cw in closed:
+            if not cw & reach_c:
+                return None
+
+    order = bit_indices(free)
+    max_nodes, deadline = tracker.budget.max_nodes, tracker.deadline
+
+    def extend(pos: int) -> bool:
+        """Color order[pos:]. After coloring v with c, the branch stays open
+        while no vertex lost its last color and no seed lost a color. Only c
+        (through hit) and, at v, the other colors v allowed became scarcer,
+        and every seed was viable before, so only those are rechecked."""
+        if pos == len(order):
+            return True
+        v = order[pos]
+        vbit = 1 << v
+        adj_v = adj[v]
+        # the closed seed neighborhoods holding v
+        near_v = [cw for cw in closed if cw & vbit]
+        mine = [c for c in range(k) if allow[c] & vbit]
+        for c in mine:
+            tracker.nodes += 1
+            if tracker.nodes > max_nodes or (
+                not tracker.nodes % _CLOCK_EVERY and _expired(deadline)
+            ):
+                raise _StopSearch
+            for d in mine:
+                allow[d] ^= vbit
+            colored[c] |= vbit
+            hit = allow[c] & adj_v
+            allow[c] ^= hit
+            ok = True  # the viability test, inline: it runs at every node
+            if hit:
+                if hit & ~reduce(or_, allow):
+                    ok = False
+                else:
+                    reach_c = colored[c] | allow[c]
+                    for cw in closed:
+                        if not cw & reach_c:
+                            ok = False
+                            break
+            if ok and near_v:
+                for d in mine:
+                    if d != c:
+                        reach_d = colored[d] | allow[d]
+                        for cw in near_v:
+                            if not cw & reach_d:
+                                ok = False
+                                break
+                        if not ok:
+                            break
+            if ok and extend(pos + 1):
+                return True
+            allow[c] |= hit
+            colored[c] ^= vbit
+            for d in mine:
+                allow[d] |= vbit
+        return False
+
+    if not extend(0):
+        return None
+    color = [0] * len(adj)
+    for c, members in enumerate(colored):
+        for v in bit_indices(members):
+            color[v] = c
+    return color

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from bkneser.formats import (
     certificate_dict,
     dimacs_dumps,
     dimacs_loads,
+    fraction_decimal_str,
     load_graph,
     read_certificate,
     write_graph,
@@ -471,6 +473,37 @@ class TestBoundsCli:
         b = run_cli(["bounds", "2", "10", "--format", "json"], cwd=tmp_path).stdout
         assert a == b
         assert json.loads(a)["report"]["best"] == 39
+
+    # U has 45 and 151 integer digits here, past the 50 significant digits
+    # that fit 44 integer digits and six places
+    @pytest.mark.parametrize("n, k", [("28", "396"), ("100", "1000")])
+    def test_huge_instance_renders(self, tmp_path, n, k):
+        human = run_cli(["bounds", n, k], cwd=tmp_path)
+        assert human.returncode == EXIT_OK, human.stderr
+        proc = run_cli(["bounds", n, k, "--format", "json"], cwd=tmp_path)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        u = json.loads(proc.stdout)["report"]["u"]
+        exact = Fraction(u["exact"])
+        assert len(str(u["floor"])) > 44
+        whole, places = u["decimal"].split(".")
+        assert whole == str(u["floor"]) and len(places) == 6
+        assert abs(Fraction(u["decimal"]) - exact) <= Fraction(1, 2 * 10**6)
+        line = f"U bound: {u['exact']} (≈ {u['decimal']}), floor {u['floor']}"
+        assert line in human.stdout
+
+    def test_decimal_rounds_half_even_at_any_size(self):
+        scale = 10**7
+        big = 10**50
+
+        def rendered(tenths_of_a_millionth):
+            return fraction_decimal_str(Fraction(tenths_of_a_millionth, scale))
+
+        assert fraction_decimal_str(Fraction(119, 3)) == "39.666667"
+        assert rendered(big * scale + 5) == f"{big}.000000"
+        assert rendered(big * scale + 15) == f"{big}.000002"
+        # rounding up to one more integer digit
+        assert rendered(big * scale - 5) == f"{big}.000000"
+        assert rendered(-(big * scale - 5)) == f"-{big}.000000"
 
 
 class TestReproduceCli:

@@ -1,5 +1,6 @@
 import json
 import time
+from functools import partial
 from importlib import resources
 from itertools import combinations
 
@@ -23,15 +24,23 @@ from bkneser import (
     is_b_coloring,
 )
 
-from oracles import adjacency_sets, naive_feasible_k, naive_phi
+from oracles import (
+    adjacency_sets,
+    naive_feasible_k,
+    naive_phi,
+    reference_search_with_seeds,
+)
 from bkneser.reproduce import erdos_renyi_graph
 from bkneser.formats import certificate_from_dict
 from bkneser.solver import (
+    _CLOCK_EVERY,
     _BudgetTracker,
     _eliminate_undominated,
     _greedy_proper,
+    _search_with_seeds,
     _seed_tuples,
     _seeded_greedy,
+    _StopSearch,
     phi_upper_bound,
 )
 
@@ -285,6 +294,64 @@ class TestPinnedOutputs:
         assert (exc.tested_k, exc.lower_bound, exc.upper_bound) == (13, 6, 13)
         assert exc.nodes_explored == 30_001
         assert exc.certificate.colors == _digits("0001112221333124441235551234")
+
+
+def _trace_tuples(kernel, graph, k, budget, expired=False):
+    """Run `kernel` on every seed tuple of k in turn on one tracker, as
+    feasible_b_coloring does: each tuple's result with the node count after
+    it, ending in ("stopped", nodes) when the budget stops the search."""
+    tracker = _BudgetTracker(budget)
+    if expired:
+        tracker.deadline = time.monotonic() - 1.0
+    trace = []
+    try:
+        for seeds in _seed_tuples(graph, k):
+            trace.append((kernel(graph.masks, k, seeds, tracker), tracker.nodes))
+    except _StopSearch:
+        trace.append(("stopped", tracker.nodes))
+    return trace
+
+
+def _differential_cases():
+    for n in range(8, 15):
+        for p in (0.3, 0.5, 0.7):
+            make = partial(erdos_renyi_graph, n, p, 9100 + n)
+            yield pytest.param(make, id=f"G({n},{p})")
+    for params in (KneserParams(2, 2), KneserParams(2, 3)):
+        make = partial(build_graph, params)
+        yield pytest.param(make, id=f"KG({params.ground_size},2)")
+
+
+class TestKernelAgainstReference:
+    """The search kernel against its unoptimised form in `oracles`: on every
+    seed tuple of every k, the same coloring or None and the same node
+    count, and under a budget the same node at which the search stops."""
+
+    @pytest.mark.parametrize("make", list(_differential_cases()))
+    def test_same_results_nodes_and_stops(self, make):
+        graph = make()
+        stops = 0
+        for k in range(1, degree_bound(graph) + 1):
+            full = _trace_tuples(reference_search_with_seeds, graph, k, Budget())
+            assert _trace_tuples(_search_with_seeds, graph, k, Budget()) == full, k
+            total = full[-1][1] if full else 0
+            # node budgets that stop the search partway through a tuple
+            runs = [(Budget(max_nodes=total // d), False) for d in (2, 3) if total >= d]
+            if total >= _CLOCK_EVERY:
+                # a deadline already past stops it at the first clock check
+                runs.append((Budget(), True))
+            for budget, expired in runs:
+                expected = _trace_tuples(
+                    reference_search_with_seeds, graph, k, budget, expired
+                )
+                assert expected[-1] == (
+                    "stopped",
+                    _CLOCK_EVERY if expired else budget.max_nodes + 1,
+                ), (k, budget)
+                got = _trace_tuples(_search_with_seeds, graph, k, budget, expired)
+                assert got == expected, (k, budget, expired)
+                stops += 1
+        assert stops
 
 
 class TestExactPhi:
