@@ -46,8 +46,19 @@ class BoundsReport:
     bk: BKBound
     u_exact: Fraction
     u_floor: int
-    best: int
     ratios: Ratios
+
+    @property
+    def bk_value(self) -> int | None:
+        """The d-i bound where it may be used: applicable, with its n >= 2
+        hypothesis met; None otherwise."""
+        return self.bk.value if self.bk.applicable and self.bk.hypothesis_met else None
+
+    @property
+    def best(self) -> int:
+        """The least usable bound."""
+        bounds = (self.regular_bound, self.u_floor, self.bk_value)
+        return min(b for b in bounds if b is not None)
 
 
 def regular_bound(params: KneserParams) -> int:
@@ -59,8 +70,8 @@ def bk_bound(params: KneserParams) -> BKBound:
     """Largest-i instance of the d-i bound, with its n >= 2 hypothesis flagged.
 
     The arithmetic value is computed even for n = 1, but callers must not use
-    it as a bound there; best_upper_bound excludes it when the hypothesis
-    fails.
+    it as a bound there; BoundsReport.bk_value excludes it when the
+    hypothesis fails.
     """
     v = params.vertex_count
     d = params.degree
@@ -81,14 +92,8 @@ def u_bound(params: KneserParams) -> UBound:
 
 
 def best_upper_bound(params: KneserParams) -> BoundsReport:
-    """All applicable bounds for one instance and their minimum."""
-    reg = regular_bound(params)
-    bk = bk_bound(params)
+    """All bounds for one instance; its `best` is the least usable one."""
     u = u_bound(params)
-    candidates = [reg, u.floor]
-    if bk.applicable and bk.hypothesis_met:
-        assert bk.value is not None
-        candidates.append(bk.value)
     v = params.vertex_count
     ratios = Ratios(
         two_ground_over_v=Fraction(2 * params.ground_size, v),
@@ -96,55 +101,18 @@ def best_upper_bound(params: KneserParams) -> BoundsReport:
     )
     return BoundsReport(
         params=params,
-        regular_bound=reg,
-        bk=bk,
+        regular_bound=regular_bound(params),
+        bk=bk_bound(params),
         u_exact=u.exact,
         u_floor=u.floor,
-        best=min(candidates),
         ratios=ratios,
     )
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    k: int
-    ground_size: int
-    vertex_count: int
-    degree: int
-    regular_bound: int
-    bk_value: int | None  # None when inapplicable or hypothesis not met
-    u_floor: int
-    best: int
-    two_ground_over_v: Fraction
-    degree_over_v: Fraction
-
-
-def asymptotic_table(n: int, k_min: int, k_max: int) -> list[ScanRow]:
-    """One row per k in [k_min, k_max]; ratios stay exact rationals."""
+def asymptotic_table(n: int, k_min: int, k_max: int) -> list[BoundsReport]:
+    """One report per k in [k_min, k_max]; ratios stay exact rationals."""
     if n < 1:
         raise ValueError("n must be positive")
     if k_min < 0 or k_min > k_max:
         raise ValueError("k range must be nonempty and nonnegative")
-    rows = []
-    for k in range(k_min, k_max + 1):
-        report = best_upper_bound(KneserParams(n, k))
-        usable_bk = (
-            report.bk.value
-            if report.bk.applicable and report.bk.hypothesis_met
-            else None
-        )
-        rows.append(
-            ScanRow(
-                k=k,
-                ground_size=report.params.ground_size,
-                vertex_count=report.params.vertex_count,
-                degree=report.params.degree,
-                regular_bound=report.regular_bound,
-                bk_value=usable_bk,
-                u_floor=report.u_floor,
-                best=report.best,
-                two_ground_over_v=report.ratios.two_ground_over_v,
-                degree_over_v=report.ratios.degree_over_v,
-            )
-        )
-    return rows
+    return [best_upper_bound(KneserParams(n, k)) for k in range(k_min, k_max + 1)]

@@ -143,12 +143,13 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             )
             print(header)
             for r in rows:
+                p = r.params
                 bk = "-" if r.bk_value is None else str(r.bk_value)
                 print(
-                    f"{r.k:>4} {r.vertex_count:>12} {r.degree:>10} "
+                    f"{p.k:>4} {p.vertex_count:>12} {p.degree:>10} "
                     f"{r.regular_bound:>8} {bk:>8} {r.u_floor:>8} {r.best:>8}  "
-                    f"{formats.fraction_human(r.two_ground_over_v)}, "
-                    f"{formats.fraction_human(r.degree_over_v)}"
+                    f"{formats.fraction_human(r.ratios.two_ground_over_v)}, "
+                    f"{formats.fraction_human(r.ratios.degree_over_v)}"
                 )
         return EXIT_OK
     if args.n is None or args.k is None:

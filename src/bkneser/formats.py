@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 from .bcoloring import Coloring, ProofAnalysis
-from .bounds import BoundsReport, ScanRow
+from .bounds import BoundsReport
 from .kneser import Graph, KneserParams, bit_indices, build_graph
 
 _KNESER_COMMENT = re.compile(r"^c\s+kneser\s+n=(\d+)\s+k=(\d+)\s*$")
@@ -308,39 +308,41 @@ _SCAN_CSV_HEADER = (
 )
 
 
-def scan_row_dict(row: ScanRow) -> dict[str, Any]:
+def scan_row_dict(report: BoundsReport) -> dict[str, Any]:
+    params = report.params
     return {
-        "k": row.k,
-        "N": row.ground_size,
-        "vertex_count": row.vertex_count,
-        "degree": row.degree,
-        "regular": row.regular_bound,
-        "bk": row.bk_value,
-        "u_floor": row.u_floor,
-        "best": row.best,
-        "ratio_2N_over_V": fraction_json(row.two_ground_over_v),
-        "ratio_d_over_V": fraction_json(row.degree_over_v),
+        "k": params.k,
+        "N": params.ground_size,
+        "vertex_count": params.vertex_count,
+        "degree": params.degree,
+        "regular": report.regular_bound,
+        "bk": report.bk_value,
+        "u_floor": report.u_floor,
+        "best": report.best,
+        "ratio_2N_over_V": fraction_json(report.ratios.two_ground_over_v),
+        "ratio_d_over_V": fraction_json(report.ratios.degree_over_v),
     }
 
 
-def scan_rows_csv(rows: list[ScanRow]) -> str:
+def scan_rows_csv(reports: list[BoundsReport]) -> str:
     lines = [_SCAN_CSV_HEADER]
-    for r in rows:
+    for r in reports:
+        p, ratios = r.params, r.ratios
         lines.append(
             ",".join(
                 [
-                    str(r.k),
-                    str(r.ground_size),
-                    str(r.vertex_count),
-                    str(r.degree),
+                    str(p.k),
+                    str(p.ground_size),
+                    str(p.vertex_count),
+                    str(p.degree),
                     str(r.regular_bound),
                     "" if r.bk_value is None else str(r.bk_value),
                     str(r.u_floor),
                     str(r.best),
-                    fraction_str(r.two_ground_over_v),
-                    fraction_decimal_str(r.two_ground_over_v),
-                    fraction_str(r.degree_over_v),
-                    fraction_decimal_str(r.degree_over_v),
+                    fraction_str(ratios.two_ground_over_v),
+                    fraction_decimal_str(ratios.two_ground_over_v),
+                    fraction_str(ratios.degree_over_v),
+                    fraction_decimal_str(ratios.degree_over_v),
                 ]
             )
         )

@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-# Bitset vertices fit one machine word; larger ground sets are formula-only.
-MAX_BITSET_GROUND_SIZE = 64
 # Materialization cap; counting/bound operations are never capped. At the cap
 # the adjacency masks alone would take about 125 GB, so no larger instance can
 # be built.
@@ -118,12 +116,6 @@ def enumerate_vertices(params: KneserParams) -> list[int]:
     The order is colexicographic and deterministic; it defines the canonical
     vertex indexing used everywhere (files, certificates, solver output).
     """
-    ground = params.ground_size
-    if ground > MAX_BITSET_GROUND_SIZE:
-        raise InstanceTooLarge(
-            f"instance too large: ground set {ground} exceeds the bitset limit "
-            f"{MAX_BITSET_GROUND_SIZE}; formula-only operations remain available"
-        )
     if params.vertex_count > DEFAULT_ENUMERATION_CAP:
         raise InstanceTooLarge(
             f"instance too large: {params.vertex_count} vertices exceed the "
@@ -132,7 +124,7 @@ def enumerate_vertices(params: KneserParams) -> list[int]:
     # Gosper's hack walks all popcount-n masks in increasing integer order.
     out = []
     x = (1 << params.n) - 1
-    limit = 1 << ground
+    limit = 1 << params.ground_size
     while x < limit:
         out.append(x)
         u = x & -x

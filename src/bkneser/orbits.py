@@ -34,10 +34,13 @@ the representative of its canonical parent, the orbit of Y minus a canonical
 deletion.
 
 The committed table `data/orbits.json` holds, for each (N, n) in TABLED,
-every level 1..C(N-n, n)+1 (one more than the degree of KG(N, n)). A level
-lists its canonical forms, ascending, each as a mask over the order of
-combinations(range(N), n). ``python -m bkneser.orbits PATH`` writes it. It
-is read on the first request for a tabled family, once per process.
+the levels 1..best, where best is the least closed-form bound on phi(KG(N, n))
+(`bounds.best_upper_bound`): the top k that the exact search tests. A level
+lists its canonical forms, ascending, each as a mask over the vertices of
+KG(N, n) in the order of `kneser.enumerate_vertices`, so the set bits of a
+mask are the seed tuple the search tries, and the levels list the tuples in
+lexicographic order. ``python -m bkneser.orbits PATH`` writes it. It is read
+on the first request for a tabled family, once per process.
 """
 
 from __future__ import annotations
@@ -46,24 +49,15 @@ import json
 import sys
 from functools import cache
 from importlib import resources
-from itertools import combinations
-from math import comb
 
-from .kneser import bit_indices
+from .bounds import best_upper_bound
+from .kneser import KneserParams, bit_indices, enumerate_vertices
 
 # the (N, n) that data/orbits.json holds: KG(N, 2) for N = 4..8. KG(9,2)
-# would need 252,291 representatives.
+# would need 120,313 representatives.
 TABLED = frozenset((ground, 2) for ground in range(4, 9))
 
 Family = tuple[int, ...]
-
-
-@cache
-def _subsets(ground: int, n: int) -> tuple[tuple[int, ...], dict[int, int]]:
-    """The n-subsets of [ground] as point masks in combinations order, and
-    the inverse map from mask to position."""
-    masks = tuple(sum(1 << p for p in c) for c in combinations(range(ground), n))
-    return masks, {m: j for j, m in enumerate(masks)}
 
 
 def _twins(members: Family, ground: int) -> list[int]:
@@ -168,7 +162,7 @@ def _canonical(members: Family, ground: int) -> tuple[Family, set[int]]:
 def generate(ground: int, n: int, top_level: int) -> list[list[Family]]:
     """levels[j-1]: the canonical forms, ascending, of the S_ground-orbits of
     j-sets of n-subsets of [ground], for j = 1..top_level."""
-    subsets, _ = _subsets(ground, n)
+    subsets = enumerate_vertices(KneserParams(n, ground - 2 * n))
     levels: list[list[Family]] = []
     parents: list[Family] = [()]
     for _ in range(top_level):
@@ -194,8 +188,9 @@ def generate(ground: int, n: int, top_level: int) -> list[list[Family]]:
 
 
 def table_levels(ground: int, n: int) -> int:
-    """The levels tabled for KG(ground, n): one more than its degree."""
-    return comb(ground - n, n) + 1
+    """The levels tabled for KG(ground, n): up to its best closed-form upper
+    bound, the top k that exact_phi tests."""
+    return best_upper_bound(KneserParams(n, ground - 2 * n)).best
 
 
 Table = dict[tuple[int, int], tuple[tuple[int, ...], ...]]
@@ -211,24 +206,21 @@ def committed_table() -> Table:
     }
 
 
-def representatives(ground: int, n: int, k: int) -> list[Family] | None:
-    """One k-set of n-subsets of [ground] per S_ground-orbit, from the
-    committed table, ascending; None when (ground, n) is not tabled or k
-    lies outside its levels."""
+def representatives(ground: int, n: int, k: int) -> list[tuple[int, ...]] | None:
+    """One k-tuple of vertices of KG(ground, n) per S_ground-orbit, each
+    ascending, from the committed table, in lexicographic order; None when
+    (ground, n) is not tabled or k lies outside its levels."""
     if (ground, n) not in TABLED or not 1 <= k <= table_levels(ground, n):
         return None
-    subsets, _ = _subsets(ground, n)
-    return [
-        tuple(sorted(subsets[j] for j in bit_indices(mask)))
-        for mask in committed_table()[ground, n][k - 1]
-    ]
+    return [bit_indices(mask) for mask in committed_table()[ground, n][k - 1]]
 
 
 def table_masks(ground: int, n: int) -> list[list[int]]:
     """The levels that data/orbits.json holds for (ground, n), generated."""
-    _, position = _subsets(ground, n)
+    vertices = enumerate_vertices(KneserParams(n, ground - 2 * n))
+    index = {m: v for v, m in enumerate(vertices)}
     return [
-        [sum(1 << position[m] for m in form) for form in level]
+        [sum(1 << index[m] for m in form) for form in level]
         for level in generate(ground, n, table_levels(ground, n))
     ]
 
@@ -238,8 +230,9 @@ def table_text() -> str:
     lines = [
         "{",
         '"description": "One representative per S_N-orbit of the k-sets of '
-        "n-subsets of {0..N-1}, for k = 1..C(N-n,n)+1: the canonical forms of "
-        "bkneser.orbits, each a mask over the order of combinations(range(N), n). "
+        "n-subsets of {0..N-1}, for k = 1 up to the best closed-form bound on "
+        "phi(KG(N,n)): the canonical forms of bkneser.orbits, each a mask over "
+        "the vertices of KG(N,n) in the order of bkneser.kneser.enumerate_vertices. "
         'Written by python -m bkneser.orbits PATH.",',
         '"families": [',
     ]

@@ -15,7 +15,7 @@ from importlib import resources
 from typing import Any
 
 from .bcoloring import analyze_proof_structure
-from .bounds import asymptotic_table, bk_bound, u_bound
+from .bounds import asymptotic_table, u_bound
 from .formats import fraction_str
 from .kneser import Graph, KneserParams, build_graph
 from .solver import brute_force_phi, exact_phi, heuristic_b_coloring, phi_upper_bound
@@ -119,17 +119,16 @@ def run_crossover() -> SuiteReport:
     rows = asymptotic_table(2, 0, CROSSOVER_K_MAX)
     crossover = None
     for row in rows:
-        params = KneserParams(2, row.k)
-        bk = bk_bound(params)
+        k, bk = row.params.k, row.bk
         if bk.applicable:
-            expected = -((params.vertex_count - 2) // -2)
+            expected = -((row.params.vertex_count - 2) // -2)
             report.check(
-                f"k={row.k}: d-i bound equals ceil((|V|-2)/2)",
+                f"k={k}: d-i bound equals ceil((|V|-2)/2)",
                 bk.value == expected,
                 f"value={bk.value}, ceiling={expected}",
             )
         if crossover is None and row.bk_value is not None and row.u_floor < row.bk_value:
-            crossover = row.k
+            crossover = k
     report.check(
         "crossover exists within scan",
         crossover is not None,
@@ -145,9 +144,9 @@ def run_crossover() -> SuiteReport:
     report.data["crossover_k"] = crossover
     report.data["rows"] = [
         {
-            "k": r.k,
-            "vertex_count": r.vertex_count,
-            "degree": r.degree,
+            "k": r.params.k,
+            "vertex_count": r.params.vertex_count,
+            "degree": r.params.degree,
             "bk": r.bk_value,
             "u_floor": r.u_floor,
             "best": r.best,
@@ -226,8 +225,8 @@ def run_ratios() -> SuiteReport:
     threshold = Fraction(1, 1000)
     for n in range(2, 6):
         rows = asymptotic_table(n, 0, RATIOS_K_MAX)
-        excess = [r.two_ground_over_v for r in rows]
-        density = [r.degree_over_v for r in rows]
+        excess = [r.ratios.two_ground_over_v for r in rows]
+        density = [r.ratios.degree_over_v for r in rows]
         report.check(
             f"n={n}: 2(2n+k)/|V| strictly decreasing over k=0..{RATIOS_K_MAX}",
             all(a > b for a, b in zip(excess, excess[1:])),
@@ -241,7 +240,7 @@ def run_ratios() -> SuiteReport:
             all(r < 1 for r in density),
         )
         first_below = next(
-            (r.k for r, value in zip(rows, excess) if value < threshold), None
+            (r.params.k for r, value in zip(rows, excess) if value < threshold), None
         )
         thresholds[str(n)] = first_below
         report.check(
@@ -253,10 +252,10 @@ def run_ratios() -> SuiteReport:
         )
         tables[str(n)] = [
             {
-                "k": r.k,
-                "vertex_count": r.vertex_count,
-                "ratio_2N_over_V": fraction_str(r.two_ground_over_v),
-                "ratio_d_over_V": fraction_str(r.degree_over_v),
+                "k": r.params.k,
+                "vertex_count": r.params.vertex_count,
+                "ratio_2N_over_V": fraction_str(r.ratios.two_ground_over_v),
+                "ratio_d_over_V": fraction_str(r.ratios.degree_over_v),
             }
             for r in rows
         ]

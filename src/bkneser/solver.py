@@ -25,27 +25,28 @@ On a Kneser graph (one carrying both `params` and `subsets`) the symmetric
 group on the ground set acts on the graph by automorphisms. An automorphism s
 maps a b-coloring with dominator system D to one with dominator system s(D),
 so refuting one tuple from each orbit of k-sets of vertices refutes k.
-- On KG(N, 2) with N <= 8 the tuples are exactly one per orbit: the
+- On KG(N, 2) with N <= 8, for k up to the best closed-form bound (every k
+  that exact_phi tests), the tuples are exactly one per orbit: the
   representatives of the committed table of `orbits` (a k-set of vertices is
   a graph with k edges on the ground set, its orbit an isomorphism class).
   The tests check each level of the table against the orbit count from
   Burnside's lemma and check its members pairwise non-isomorphic, so they
   meet every orbit.
-- On other Kneser graphs the tuples are cut by orbital branching (Ostrowski,
-  Linderoth, Rossi & Smriglio, Math. Programming 126, 2011). Let S_0 be the
-  subset of vertex 0 and, for t = 0..n-1, let O_t be the vertices y with
-  |S_y & S_0| = t and r_t the least-index vertex of O_t. For a tuple
-  containing 0, let t* be the least |S_y & S_0| over its other vertices y;
-  the tuple is kept when it also contains r_{t*}. For k = 1 the only tuple
-  is (0,). Branch t of the orbital tree holds the kept tuples with t* = t.
-  This loses no coloring. The group is transitive on the vertices, so some
-  automorphism s maps an element of a dominator system D to 0. Let t* be
-  the least |S_y & S_0| over the other elements y of s(D). The stabilizer
-  of vertex 0 permutes S_0 and its complement separately, so its orbits on
-  the other vertices are exactly O_0..O_{n-1}, and some u in it maps one
-  such y to r_{t*}. u keeps every intersection size with S_0, so us(D)
-  contains 0 and r_{t*} and its least intersection size is still t*: it is
-  a kept tuple.
+- On other Kneser graphs, and above the table's top level, the tuples are cut
+  by orbital branching (Ostrowski, Linderoth, Rossi & Smriglio, Math.
+  Programming 126, 2011). Let S_0 be the subset of vertex 0 and, for
+  t = 0..n-1, let O_t be the vertices y with |S_y & S_0| = t and r_t the
+  least-index vertex of O_t. For a tuple containing 0, let t* be the least
+  |S_y & S_0| over its other vertices y; the tuple is kept when it also
+  contains r_{t*}. For k = 1 the only tuple is (0,). Branch t of the orbital
+  tree holds the kept tuples with t* = t. This loses no coloring. The group
+  is transitive on the vertices, so some automorphism s maps an element of a
+  dominator system D to 0. Let t* be the least |S_y & S_0| over the other
+  elements y of s(D). The stabilizer of vertex 0 permutes S_0 and its
+  complement separately, so its orbits on the other vertices are exactly
+  O_0..O_{n-1}, and some u in it maps one such y to r_{t*}. u keeps every
+  intersection size with S_0, so us(D) contains 0 and r_{t*} and its least
+  intersection size is still t*: it is a kept tuple.
 
 The brute-force oracle is an independent check: it enumerates canonical
 colorings (restricted-growth strings, pruned only by properness) and tests
@@ -294,9 +295,7 @@ def _seed_tuples(graph: Graph, k: int) -> Iterator[tuple[int, ...]]:
 
     orbits = representatives(graph.params.ground_size, graph.params.n, k)
     if orbits is not None:
-        index = {s: v for v, s in enumerate(graph.subsets)}
-        for members in orbits:
-            yield tuple(sorted(index[m] for m in members))
+        yield from orbits
         return
     if k == 1:
         yield (0,)

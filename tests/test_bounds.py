@@ -116,11 +116,11 @@ class TestAsymptoticTable:
     def test_row_shape_and_count(self):
         rows = asymptotic_table(2, 0, 12)
         assert len(rows) == 13
-        assert [r.k for r in rows] == list(range(13))
+        assert [r.params.k for r in rows] == list(range(13))
 
     def test_first_ratio_examples(self):
         rows = asymptotic_table(2, 0, 2)
-        assert [r.two_ground_over_v for r in rows] == [
+        assert [r.ratios.two_ground_over_v for r in rows] == [
             Fraction(8, 6),
             Fraction(10, 10),
             Fraction(12, 15),
@@ -129,13 +129,13 @@ class TestAsymptoticTable:
     def test_n1_degree_ratio_closed_form(self):
         rows = asymptotic_table(1, 0, 20)
         for r in rows:
-            assert r.degree_over_v == Fraction(1 + r.k, 2 + r.k)
-            assert r.degree_over_v < 1
+            assert r.ratios.degree_over_v == Fraction(1 + r.params.k, 2 + r.params.k)
+            assert r.ratios.degree_over_v < 1
 
     def test_crossover_located_by_scan(self):
         rows = asymptotic_table(2, 0, 12)
         crossover = next(
-            r.k
+            r.params.k
             for r in rows
             if r.bk_value is not None and r.u_floor < r.bk_value
         )
@@ -146,12 +146,12 @@ class TestAsymptoticTable:
     @pytest.mark.parametrize("n", range(2, 6))
     def test_monotonicity_over_long_scan(self, n):
         rows = asymptotic_table(n, 0, 200)
-        excess = [r.two_ground_over_v for r in rows]
-        density = [r.degree_over_v for r in rows]
+        excess = [r.ratios.two_ground_over_v for r in rows]
+        density = [r.ratios.degree_over_v for r in rows]
         assert all(a > b for a, b in zip(excess, excess[1:]))
         assert all(a < b for a, b in zip(density, density[1:]))
         assert all(0 < d < 1 for d in density)
-        assert all(isinstance(r.two_ground_over_v, Fraction) for r in rows)
+        assert all(isinstance(r.ratios.two_ground_over_v, Fraction) for r in rows)
 
     def test_bk_column_tracks_usability(self):
         # n=1 rows never expose a usable d-i value

@@ -1,3 +1,4 @@
+import json
 from itertools import combinations
 
 import pytest
@@ -11,6 +12,7 @@ from bkneser import (
     build_graph,
     enumerate_vertices,
 )
+from bkneser.cli import main
 from bkneser.kneser import bit_indices
 
 from oracles import kneser_edges, kneser_vertices
@@ -65,9 +67,14 @@ class TestEnumerateVertices:
         ):
             enumerate_vertices(KneserParams(10, 10))
 
-    def test_ground_set_width_limit(self):
-        with pytest.raises(InstanceTooLarge):
-            enumerate_vertices(KneserParams(1, 63))  # ground set 65
+    def test_ground_set_wider_than_a_word(self, tmp_path, capsys):
+        # vertices are Python ints: K_65 (ground set 65) solves, and KG(120,40)
+        # is refused for its vertex count, not for its ground set
+        cert = str(tmp_path / "c.json")
+        assert main(["solve", "1", "63", "--format", "json", "--cert", cert]) == 0
+        assert json.loads(capsys.readouterr().out)["phi"] == 65
+        assert main(["gen", "40", "40", "--out", str(tmp_path / "g.col")]) == 2
+        assert "exceed the enumeration cap 1000000" in capsys.readouterr().err
 
     @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=4))
     def test_matches_combinations_oracle(self, n, k):
@@ -147,7 +154,7 @@ class TestBuildGraph:
             assert g.masks == Graph.from_edges(g.vertex_count, reference).masks
 
     def test_larger_spot_checks(self):
-        # complete graph K_64 (boundary ground set) and a 560-vertex instance
+        # complete graph K_64 and a 560-vertex instance
         g1 = build_graph(KneserParams(1, 62))
         assert g1.vertex_count == 64
         assert set(g1.degrees()) == {63}
@@ -157,7 +164,7 @@ class TestBuildGraph:
         assert set(g2.degrees()) == {params.degree}
 
     def test_enumeration_at_word_boundary(self):
-        # ground set exactly 64: enumeration works, stays sorted by bitmask
+        # ground set 64: enumeration stays sorted by bitmask
         verts = enumerate_vertices(KneserParams(2, 60))
         assert len(verts) == 2016
         assert all(v.bit_count() == 2 for v in verts)

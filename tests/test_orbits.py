@@ -7,13 +7,13 @@ import random
 import subprocess
 import sys
 from collections import defaultdict
-from itertools import combinations
+from itertools import combinations, islice
 from math import factorial, prod
 from pathlib import Path
 
 import pytest
 
-from bkneser import KneserParams, build_graph
+from bkneser import KneserParams, build_graph, enumerate_vertices
 from bkneser.orbits import (
     TABLED,
     committed_table,
@@ -75,6 +75,12 @@ def burnside_counts(ground, n):
     return [t // factorial(ground) for t in total]
 
 
+def _point_masks(ground, n, vertices):
+    """The point masks of a tuple of vertices of KG(ground, n)."""
+    subsets = enumerate_vertices(KneserParams(n, ground - 2 * n))
+    return [subsets[v] for v in vertices]
+
+
 def _points(family):
     return [{p for p in range(mask.bit_length()) if mask >> p & 1} for mask in family]
 
@@ -91,7 +97,7 @@ def test_burnside_counts_known_values():
 def test_table_holds_every_tabled_level():
     table = committed_table()
     assert set(table) == TABLED == {(ground, 2) for ground in range(4, 9)}
-    assert sum(len(level) for level in table[8, 2]) == 9_864
+    assert sum(len(level) for level in table[8, 2]) == 5_349
     for ground, n in FAMILIES:
         assert len(table[ground, n]) == table_levels(ground, n)
 
@@ -107,7 +113,7 @@ def test_level_sizes_are_burnside_counts(ground, n):
 def test_representatives_pairwise_non_isomorphic(ground, n):
     # with the Burnside counts this makes them one per orbit
     for k in range(1, table_levels(ground, n) + 1):
-        reps = representatives(ground, n, k)
+        reps = [_point_masks(ground, n, r) for r in representatives(ground, n, k)]
         assert all(len(set(r)) == k for r in reps)
         assert all(m.bit_count() == n and m >> ground == 0 for r in reps for m in r)
         # isomorphic families have equal sorted point signatures
@@ -128,7 +134,7 @@ def test_isomorphism_oracle():
     # every relabeling of a family is found isomorphic to it
     rng = random.Random(7)
     for r in representatives(8, 2, 12)[::50]:
-        family = _points(r)
+        family = _points(_point_masks(8, 2, r))
         perm = list(range(8))
         rng.shuffle(perm)
         assert isomorphic_families(family, [{perm[p] for p in s} for s in family], 8)
@@ -143,7 +149,7 @@ def test_untabled_families_have_no_representatives():
     assert representatives(9, 2, 3) is None
     assert representatives(8, 3, 3) is None
     assert representatives(6, 1, 2) is None
-    assert representatives(7, 2, 12) is None  # past degree + 1
+    assert representatives(7, 2, 11) is None  # past the best bound, 10
 
 
 @pytest.mark.parametrize("params", [KneserParams(2, 1), KneserParams(2, 3)], ids=str)
@@ -153,8 +159,26 @@ def test_seed_tuples_are_the_representatives(params):
     for k in range(1, table_levels(ground, 2) + 1):
         tuples = list(_seed_tuples(kg, k))
         assert all(list(t) == sorted(t) for t in tuples)
-        families = [tuple(kg.subsets[v] for v in t) for t in tuples]
-        assert families == representatives(ground, 2, k)
+        assert tuples == representatives(ground, 2, k)
+
+
+def test_above_the_table_seeds_by_orbital_branching():
+    # an empty tuple list there would refute k unsoundly
+    kg = build_graph(KneserParams(2, 3))
+    k = table_levels(7, 2) + 1
+    assert representatives(7, 2, k) is None
+    # the kept tuples of the solver docstring, in lexicographic order: those
+    # holding vertex 0 and r_t, for t the least |S_y & S_0| over the others
+    meet = [(s & kg.subsets[0]).bit_count() for s in kg.subsets]
+    r = {t: meet.index(t) for t in (0, 1)}
+    kept = (
+        (0, *rest)
+        for rest in combinations(range(1, kg.vertex_count), k - 1)
+        if r[min(meet[y] for y in rest)] in rest
+    )
+    expected = list(islice(kept, 300))
+    assert len(expected) == 300
+    assert list(islice(_seed_tuples(kg, k), 300)) == expected
 
 
 def test_table_loads_only_for_a_tabled_solve():
