@@ -21,6 +21,21 @@ interchangeable, so seed i takes color i. On a plain graph the seed tuples
 are all k-subsets of the vertices of degree >= k-1, so refuting every tuple
 refutes k.
 
+Before branching, the search propagates forced witnesses at the root of each
+tuple (unit propagation, Davis, Logemann & Loveland, CACM 5, 1962). If seed w
+has no vertex of color c in its closed neighborhood N[w] yet, and exactly one
+uncolored vertex u of N[w] may still take c, then every coloring in which the
+seeds form a dominator system colors u with c: w dominates its class, so some
+vertex of N[w] has color c, and u is the only one left that can. Coloring u
+so therefore loses none of the colorings the search looks for, and if no
+vertex of N[w] is left for c there are none. Repeating this until nothing is
+forced is order-independent: a forced move only takes colors away, so a
+vertex forced once stays forced, and two seeds forcing one vertex to
+different colors refute the tuple in any order. The search then branches on
+the remaining vertices in the same order as without propagation. Every
+coloring it can accept agrees with the forced colors, so it accepts the same
+first coloring in that order, in fewer nodes.
+
 On a Kneser graph (one carrying both `params` and `subsets`) the symmetric
 group on the ground set acts on the graph by automorphisms. An automorphism s
 maps a b-coloring with dominator system D to one with dominator system s(D),
@@ -177,20 +192,35 @@ def _search_with_seeds(
     The state is kept per color: colored[c] holds the vertices colored c and
     allow[c] the uncolored vertices that may still take c. A seed stays
     viable while its closed neighborhood meets colored[c] | allow[c] for
-    every c. The search counts its nodes in a local and writes the count
-    back to `tracker` when it returns or stops.
+    every c. The root propagates forced witnesses (module docstring) until
+    a full pass over the seeds forces nothing; its moves are not choices
+    and count no node. The search counts its nodes in a local and writes
+    the count back to `tracker` when it returns or stops.
     """
     colored = [1 << w for w in seeds]
     free = (1 << len(adj)) - 1 - sum(colored)
     allow = [free & ~adj[w] for w in seeds]
-    if free & ~reduce(or_, allow):
-        return None
     closed = [adj[w] | (1 << w) for w in seeds]
-    for c in range(k):
-        reach_c = colored[c] | allow[c]
-        for cw in closed:
-            if not cw & reach_c:
-                return None
+    # forced-witness propagation to a fixpoint: a seed that misses color c
+    # and has one vertex u of its closed neighborhood left that allows c
+    # forces u to c; the pass after the last forced move checks every seed
+    forced = True
+    while forced:
+        if free & ~reduce(or_, allow):
+            return None
+        forced = False
+        for c in range(k):
+            for cw in closed:
+                u = cw & allow[c]
+                if u & (u - 1) or cw & colored[c]:
+                    continue
+                if not u:
+                    return None
+                colored[c] |= u
+                free ^= u
+                allow = [a & ~u for a in allow]
+                allow[c] &= ~adj[u.bit_length() - 1]
+                forced = True
 
     order = bit_indices(free)
     depth = len(order)

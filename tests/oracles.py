@@ -3,9 +3,9 @@
 Deliberately naive: plain sets and unpruned restricted-growth-string
 enumeration, sharing no code or data structures with the package under test.
 The one exception is `reference_search_with_seeds`, the exact search's kernel
-as it was before its per-vertex checks were hoisted out of the color loop: it
-runs on the package's budget tracker, so that both kernels can be compared
-node for node.
+as it was before its per-vertex checks were hoisted out of the color loop and
+before it propagated forced witnesses at the root: it runs on the package's
+budget tracker, so that both kernels can be compared tuple for tuple.
 """
 
 from __future__ import annotations

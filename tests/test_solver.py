@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from bkneser import (
     Budget,
     BudgetExceeded,
+    Coloring,
     Graph,
     InstanceTooLarge,
     KneserParams,
@@ -212,7 +213,7 @@ class TestKneserReduction:
             assert feasible_b_coloring(g, 7, _tracker=tracker) is None
             nodes.append(tracker.nodes)
         # one seed tuple per orbit, against every 7-subset of the vertices
-        assert nodes == [352, 43_148]
+        assert nodes == [143, 1_359]
 
     def test_exact_matches_oracle_on_kg62(self, kg62, kg62_brute):
         exact, brute = exact_phi(kg62), kg62_brute
@@ -244,7 +245,8 @@ def _digits(text):
 class TestPinnedOutputs:
     """Outputs of both exhaustive loops: a faster node must keep every
     decision, so phi, infeasible_at, node counts and certificates stay
-    exactly these. The exact search's counts also pin its seed tuples."""
+    exactly these. The exact search's counts also pin its seed tuples and
+    its root propagation."""
 
     BRUTE = {
         "petersen": (3, (4,), 771, "0001112221"),
@@ -271,20 +273,20 @@ class TestPinnedOutputs:
     def test_exact_kg62(self, kg62):
         result = exact_phi(kg62)
         assert (result.phi, result.infeasible_at) == (6, (7,))
-        assert result.stats.nodes_explored == 458
+        assert result.stats.nodes_explored == 202
         assert result.certificate.colors == _digits("012322141300554")
 
     def test_exact_kg72_within_30000_nodes(self):
         budget = Budget(max_nodes=30_000)
         result = exact_phi(build_graph(KneserParams(2, 3)), budget=budget)
         assert (result.phi, result.infeasible_at) == (7, (8, 9, 10))
-        assert result.stats.nodes_explored == 12_439
+        assert result.stats.nodes_explored == 5_679
         assert result.certificate == _committed("kg_2_3_phi7.json")[0]
 
     def test_exact_kg82(self):
         result = exact_phi(build_graph(KneserParams(2, 4)))
         assert (result.phi, result.infeasible_at) == (9, (10, 11, 12, 13))
-        assert result.stats.nodes_explored == 455_949
+        assert result.stats.nodes_explored == 324_634
         assert result.certificate == _committed("kg_2_4_phi9.json")[0]
 
     def test_budget_bracket_kg82(self):
@@ -312,6 +314,12 @@ def _trace_tuples(kernel, graph, k, budget, expired=False):
     return trace
 
 
+def _per_tuple_nodes(trace):
+    """The nodes each tuple of a `_trace_tuples` trace took."""
+    counts = [nodes for _, nodes in trace]
+    return [b - a for a, b in zip([0, *counts], counts)]
+
+
 def _differential_cases():
     for n in range(8, 15):
         for p in (0.3, 0.5, 0.7):
@@ -323,17 +331,21 @@ def _differential_cases():
 
 
 class TestKernelAgainstReference:
-    """The search kernel against its unoptimised form in `oracles`: on every
-    seed tuple of every k, the same coloring or None and the same node
-    count, and under a budget the same node at which the search stops."""
+    """The search kernel against its unoptimised form in `oracles`, which
+    has no forced-witness propagation: on every seed tuple of every k, the
+    same coloring or None in no more nodes. Under a budget the kernel stops
+    where its own unbudgeted run passes the budget."""
 
     @pytest.mark.parametrize("make", list(_differential_cases()))
     def test_same_results_nodes_and_stops(self, make):
         graph = make()
         stops = 0
         for k in range(1, degree_bound(graph) + 1):
-            full = _trace_tuples(reference_search_with_seeds, graph, k, Budget())
-            assert _trace_tuples(_search_with_seeds, graph, k, Budget()) == full, k
+            expected = _trace_tuples(reference_search_with_seeds, graph, k, Budget())
+            full = _trace_tuples(_search_with_seeds, graph, k, Budget())
+            assert [r for r, _ in full] == [r for r, _ in expected], k
+            pairs = zip(_per_tuple_nodes(full), _per_tuple_nodes(expected))
+            assert all(got <= ref for got, ref in pairs), k
             total = full[-1][1] if full else 0
             # node budgets that stop the search partway through a tuple
             runs = [(Budget(max_nodes=total // d), False) for d in (2, 3) if total >= d]
@@ -341,17 +353,71 @@ class TestKernelAgainstReference:
                 # a deadline already past stops it at the first clock check
                 runs.append((Budget(), True))
             for budget, expired in runs:
-                expected = _trace_tuples(
-                    reference_search_with_seeds, graph, k, budget, expired
-                )
-                assert expected[-1] == (
-                    "stopped",
-                    _CLOCK_EVERY if expired else budget.max_nodes + 1,
-                ), (k, budget)
                 got = _trace_tuples(_search_with_seeds, graph, k, budget, expired)
-                assert got == expected, (k, budget, expired)
+                stop = _CLOCK_EVERY if expired else budget.max_nodes + 1
+                assert got[-1] == ("stopped", stop), (k, budget, expired)
+                # the tuples finished before the stop, as in the full run
+                done = got[:-1]
+                assert done == full[: len(done)], (k, budget, expired)
+                assert full[len(done)][1] >= stop, (k, budget, expired)
                 stops += 1
         assert stops
+
+
+def _root_runs(graph, k):
+    """The kernel and the reference on the seed tuple (0..k-1) of `graph`:
+    each one's result and node count."""
+    runs = []
+    for kernel in (_search_with_seeds, reference_search_with_seeds):
+        tracker = _BudgetTracker(Budget())
+        runs.append((kernel(graph.masks, k, tuple(range(k)), tracker), tracker.nodes))
+    return runs
+
+
+class TestRootPropagation:
+    """Forced-witness propagation at the root of a seed tuple, on hand-built
+    graphs whose seeds are vertices 0..k-1 and take colors 0..k-1. Every
+    tuple here passes the reference's root check, which tests each seed
+    against each color once and forces nothing, so the reference spends
+    nodes where propagation spends none."""
+
+    def test_forced_move_strands_another_seed(self):
+        # seed 0 sees color 1 only through 3, and seed 2 only through 4;
+        # 3 and 4 are adjacent, so forcing 3 to 1 takes color 1 from 4
+        g = Graph.from_edges(7, [(0, 2), (0, 3), (2, 4), (3, 4), (1, 5), (1, 6)])
+        (got, nodes), (expected, ref_nodes) = _root_runs(g, 3)
+        assert got is None and nodes == 0
+        assert expected is None and ref_nodes > 0
+
+    # seeds 0..3; 6 and 7 are forced by seeds 1 and 2, and 4 to color 2 by
+    # seed 3; only then does seed 0 see color 1 through 5 alone, since 4
+    # allowed color 1 too. That cascade reaches a lower color and seed than
+    # the move it follows, so the pass that finds it comes after.
+    CASCADE = Graph.from_edges(
+        8,
+        [(0, 2), (0, 3), (1, 2), (1, 3), (0, 4), (3, 4), (0, 5), (1, 6), (2, 7)],
+    )
+
+    def test_forced_moves_cascade(self):
+        (got, nodes), (expected, ref_nodes) = _root_runs(self.CASCADE, 4)
+        assert got == expected == [0, 1, 2, 3, 2, 1, 0, 3]
+        assert nodes == 0 < ref_nodes
+
+    def test_propagation_colors_every_free_vertex(self):
+        got, nodes = _root_runs(self.CASCADE, 4)[0]
+        assert nodes == 0
+        assert is_b_coloring(self.CASCADE, Coloring.from_sequence(got)).valid
+
+    def test_seeds_are_checked_after_the_last_forced_move(self):
+        # seed 0 sees color 1 through 4 or 5 alone; seed 3 forces 4 to
+        # color 2 and seed 2 forces 5, the last free vertex, to color 3, so
+        # every vertex is colored but seed 0 no longer sees color 1
+        g = Graph.from_edges(
+            7, [(0, 2), (0, 3), (1, 2), (1, 3), (0, 4), (3, 4), (0, 5), (2, 5), (1, 6)]
+        )
+        (got, nodes), (expected, ref_nodes) = _root_runs(g, 4)
+        assert got is None and nodes == 0
+        assert expected is None and ref_nodes > 0
 
 
 class TestExactPhi:
