@@ -34,7 +34,11 @@ vertex forced once stays forced, and two seeds forcing one vertex to
 different colors refute the tuple in any order. The search then branches on
 the remaining vertices in the same order as without propagation. Every
 coloring it can accept agrees with the forced colors, so it accepts the same
-first coloring in that order, in fewer nodes.
+first coloring in that order, in no more nodes below the root. Each color a
+propagation pass checks against the seeds counts one node, as each color
+tried below the root does, so a node budget also bounds the tuples refuted
+at the root: propagation refutes most tuples there, and a budget that let
+them through free would not bound the work of a solve.
 
 On a Kneser graph (one carrying both `params` and `subsets`) the symmetric
 group on the ground set acts on the graph by automorphisms. An automorphism s
@@ -183,6 +187,55 @@ def degree_bound(graph: Graph) -> int:
     return m
 
 
+def _propagate_root(
+    adj: tuple[int, ...], k: int, seeds: tuple[int, ...], tracker: _BudgetTracker
+) -> tuple[list[int], list[int], int, list[int]] | None:
+    """Seed colors 0..k-1 on `seeds` and forced witnesses (module docstring)
+    to a fixpoint: the state (colored, allow, free, closed) the search of
+    `_search_with_seeds` starts from, or None when the tuple is refuted.
+
+    A seed that misses color c and has one vertex u of its closed
+    neighborhood left that allows c forces u to c. Passes over the colors
+    repeat until one forces nothing, and a free vertex with no color left
+    refutes the tuple after each pass, so every check follows the last
+    forced move. Each color a pass checks counts one node in `tracker`.
+    The pass keeps banned[c], the neighbors of c's seed and of the vertices
+    forced to c, and reads allow[c] as free & ~banned[c], so a forced move
+    updates two masks and the allow list is built once per pass.
+    """
+    colored = [1 << w for w in seeds]
+    closed = [adj[w] | b for w, b in zip(seeds, colored)]
+    free = (1 << len(adj)) - 1 - sum(colored)
+    banned = [adj[w] for w in seeds]
+    max_nodes, deadline = tracker.budget.max_nodes, tracker.deadline
+    while True:
+        forced = False
+        for c in range(k):
+            tracker.nodes += 1
+            nodes = tracker.nodes
+            if nodes > max_nodes or (not nodes % _CLOCK_EVERY and _expired(deadline)):
+                raise _StopSearch
+            colored_c, allow_c = colored[c], free & ~banned[c]
+            for cw in closed:
+                if cw & colored_c:
+                    continue
+                u = cw & allow_c
+                if u & (u - 1):
+                    continue
+                if not u:
+                    return None
+                colored[c] = colored_c = colored_c | u
+                free ^= u
+                banned[c] |= adj[u.bit_length() - 1]
+                allow_c = free & ~banned[c]
+                forced = True
+        allow = [free & ~b for b in banned]
+        if free & ~reduce(or_, allow):
+            return None
+        if not forced:
+            return colored, allow, free, closed
+
+
 def _search_with_seeds(
     adj: tuple[int, ...], k: int, seeds: tuple[int, ...], tracker: _BudgetTracker
 ) -> list[int] | None:
@@ -192,36 +245,15 @@ def _search_with_seeds(
     The state is kept per color: colored[c] holds the vertices colored c and
     allow[c] the uncolored vertices that may still take c. A seed stays
     viable while its closed neighborhood meets colored[c] | allow[c] for
-    every c. The root propagates forced witnesses (module docstring) until
-    a full pass over the seeds forces nothing; its moves are not choices
-    and count no node. The search counts its nodes in a local and writes
-    the count back to `tracker` when it returns or stops.
+    every c. The root is `_propagate_root`; its forced moves are not
+    choices, and only its checks count nodes. The search below it counts
+    its nodes in a local and writes the count back to `tracker` when it
+    returns or stops.
     """
-    colored = [1 << w for w in seeds]
-    free = (1 << len(adj)) - 1 - sum(colored)
-    allow = [free & ~adj[w] for w in seeds]
-    closed = [adj[w] | (1 << w) for w in seeds]
-    # forced-witness propagation to a fixpoint: a seed that misses color c
-    # and has one vertex u of its closed neighborhood left that allows c
-    # forces u to c; the pass after the last forced move checks every seed
-    forced = True
-    while forced:
-        if free & ~reduce(or_, allow):
-            return None
-        forced = False
-        for c in range(k):
-            for cw in closed:
-                u = cw & allow[c]
-                if u & (u - 1) or cw & colored[c]:
-                    continue
-                if not u:
-                    return None
-                colored[c] |= u
-                free ^= u
-                allow = [a & ~u for a in allow]
-                allow[c] &= ~adj[u.bit_length() - 1]
-                forced = True
-
+    root = _propagate_root(adj, k, seeds, tracker)
+    if root is None:
+        return None
+    colored, allow, free, closed = root
     order = bit_indices(free)
     depth = len(order)
     max_nodes, deadline = tracker.budget.max_nodes, tracker.deadline
@@ -370,7 +402,7 @@ def feasible_b_coloring(
     tracker = _tracker if _tracker is not None else _BudgetTracker(budget or Budget())
     try:
         for seeds in _seed_tuples(graph, k):
-            tracker.check()  # the deadline also bounds root-refuted tuples
+            tracker.check()  # a deadline already past stops before the first node
             assignment = _search_with_seeds(graph.masks, k, seeds, tracker)
             if assignment is not None:
                 break

@@ -38,6 +38,7 @@ from bkneser.solver import (
     _BudgetTracker,
     _eliminate_undominated,
     _greedy_proper,
+    _propagate_root,
     _search_with_seeds,
     _seed_tuples,
     _seeded_greedy,
@@ -213,7 +214,7 @@ class TestKneserReduction:
             assert feasible_b_coloring(g, 7, _tracker=tracker) is None
             nodes.append(tracker.nodes)
         # one seed tuple per orbit, against every 7-subset of the vertices
-        assert nodes == [143, 1_359]
+        assert nodes == [194, 21_650]
 
     def test_exact_matches_oracle_on_kg62(self, kg62, kg62_brute):
         exact, brute = exact_phi(kg62), kg62_brute
@@ -273,20 +274,20 @@ class TestPinnedOutputs:
     def test_exact_kg62(self, kg62):
         result = exact_phi(kg62)
         assert (result.phi, result.infeasible_at) == (6, (7,))
-        assert result.stats.nodes_explored == 202
+        assert result.stats.nodes_explored == 292
         assert result.certificate.colors == _digits("012322141300554")
 
     def test_exact_kg72_within_30000_nodes(self):
         budget = Budget(max_nodes=30_000)
         result = exact_phi(build_graph(KneserParams(2, 3)), budget=budget)
         assert (result.phi, result.infeasible_at) == (7, (8, 9, 10))
-        assert result.stats.nodes_explored == 5_679
+        assert result.stats.nodes_explored == 7_068
         assert result.certificate == _committed("kg_2_3_phi7.json")[0]
 
     def test_exact_kg82(self):
         result = exact_phi(build_graph(KneserParams(2, 4)))
         assert (result.phi, result.infeasible_at) == (9, (10, 11, 12, 13))
-        assert result.stats.nodes_explored == 324_634
+        assert result.stats.nodes_explored == 352_528
         assert result.certificate == _committed("kg_2_4_phi9.json")[0]
 
     def test_budget_bracket_kg82(self):
@@ -333,8 +334,10 @@ def _differential_cases():
 class TestKernelAgainstReference:
     """The search kernel against its unoptimised form in `oracles`, which
     has no forced-witness propagation: on every seed tuple of every k, the
-    same coloring or None in no more nodes. Under a budget the kernel stops
-    where its own unbudgeted run passes the budget."""
+    same coloring or None in no more nodes below the root. The reference
+    counts no node at its root, the kernel one per color each propagation
+    pass checks. Under a budget the kernel stops where its own unbudgeted
+    run passes the budget."""
 
     @pytest.mark.parametrize("make", list(_differential_cases()))
     def test_same_results_nodes_and_stops(self, make):
@@ -344,8 +347,9 @@ class TestKernelAgainstReference:
             expected = _trace_tuples(reference_search_with_seeds, graph, k, Budget())
             full = _trace_tuples(_search_with_seeds, graph, k, Budget())
             assert [r for r, _ in full] == [r for r, _ in expected], k
-            pairs = zip(_per_tuple_nodes(full), _per_tuple_nodes(expected))
-            assert all(got <= ref for got, ref in pairs), k
+            roots = _per_tuple_nodes(_trace_tuples(_propagate_root, graph, k, Budget()))
+            below = [n - r for n, r in zip(_per_tuple_nodes(full), roots)]
+            assert all(got <= ref for got, ref in zip(below, _per_tuple_nodes(expected))), k
             total = full[-1][1] if full else 0
             # node budgets that stop the search partway through a tuple
             runs = [(Budget(max_nodes=total // d), False) for d in (2, 3) if total >= d]
@@ -365,10 +369,10 @@ class TestKernelAgainstReference:
 
 
 def _root_runs(graph, k):
-    """The kernel and the reference on the seed tuple (0..k-1) of `graph`:
-    each one's result and node count."""
+    """The root, the kernel and the reference on the seed tuple (0..k-1) of
+    `graph`: each one's result and node count."""
     runs = []
-    for kernel in (_search_with_seeds, reference_search_with_seeds):
+    for kernel in (_propagate_root, _search_with_seeds, reference_search_with_seeds):
         tracker = _BudgetTracker(Budget())
         runs.append((kernel(graph.masks, k, tuple(range(k)), tracker), tracker.nodes))
     return runs
@@ -378,15 +382,17 @@ class TestRootPropagation:
     """Forced-witness propagation at the root of a seed tuple, on hand-built
     graphs whose seeds are vertices 0..k-1 and take colors 0..k-1. Every
     tuple here passes the reference's root check, which tests each seed
-    against each color once and forces nothing, so the reference spends
-    nodes where propagation spends none."""
+    against each color once and forces nothing, so the reference branches
+    where propagation settles the tuple at the root: the kernel's nodes are
+    the root's, one per color each pass checks."""
 
     def test_forced_move_strands_another_seed(self):
         # seed 0 sees color 1 only through 3, and seed 2 only through 4;
-        # 3 and 4 are adjacent, so forcing 3 to 1 takes color 1 from 4
+        # 3 and 4 are adjacent, so forcing 3 to 1 takes color 1 from 4,
+        # which the first pass finds at its second color
         g = Graph.from_edges(7, [(0, 2), (0, 3), (2, 4), (3, 4), (1, 5), (1, 6)])
-        (got, nodes), (expected, ref_nodes) = _root_runs(g, 3)
-        assert got is None and nodes == 0
+        (root, root_nodes), (got, nodes), (expected, ref_nodes) = _root_runs(g, 3)
+        assert root is None and got is None and nodes == root_nodes == 2
         assert expected is None and ref_nodes > 0
 
     # seeds 0..3; 6 and 7 are forced by seeds 1 and 2, and 4 to color 2 by
@@ -399,14 +405,24 @@ class TestRootPropagation:
     )
 
     def test_forced_moves_cascade(self):
-        (got, nodes), (expected, ref_nodes) = _root_runs(self.CASCADE, 4)
+        (_, root_nodes), (got, nodes), (expected, ref_nodes) = _root_runs(self.CASCADE, 4)
         assert got == expected == [0, 1, 2, 3, 2, 1, 0, 3]
-        assert nodes == 0 < ref_nodes
+        # three full passes: two force moves, the last forces nothing
+        assert nodes == root_nodes == 3 * 4 and ref_nodes > 0
 
     def test_propagation_colors_every_free_vertex(self):
-        got, nodes = _root_runs(self.CASCADE, 4)[0]
-        assert nodes == 0
+        (root, _), (got, _) = _root_runs(self.CASCADE, 4)[:2]
+        assert root[2] == 0  # no free vertex is left to branch on
         assert is_b_coloring(self.CASCADE, Coloring.from_sequence(got)).valid
+
+    def test_every_tuple_counts_a_node(self):
+        # so a budget of N nodes tries at most N seed tuples, also where
+        # propagation refutes them at the root: every 7-subset of KG(6,2)
+        # without its labels is refuted
+        g = _stripped(build_graph(KneserParams(2, 2)))
+        trace = _trace_tuples(_search_with_seeds, g, 7, Budget())
+        assert len(trace) == 6_435 and all(r is None for r, _ in trace)
+        assert min(_per_tuple_nodes(trace)) >= 1
 
     def test_seeds_are_checked_after_the_last_forced_move(self):
         # seed 0 sees color 1 through 4 or 5 alone; seed 3 forces 4 to
@@ -415,8 +431,9 @@ class TestRootPropagation:
         g = Graph.from_edges(
             7, [(0, 2), (0, 3), (1, 2), (1, 3), (0, 4), (3, 4), (0, 5), (2, 5), (1, 6)]
         )
-        (got, nodes), (expected, ref_nodes) = _root_runs(g, 4)
-        assert got is None and nodes == 0
+        (root, root_nodes), (got, nodes), (expected, ref_nodes) = _root_runs(g, 4)
+        # the second pass finds it at its second color
+        assert root is None and got is None and nodes == root_nodes == 4 + 2
         assert expected is None and ref_nodes > 0
 
 
