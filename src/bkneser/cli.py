@@ -6,8 +6,8 @@ optional structure analysis), reproduce (run a named verification suite).
 
 Exit codes: 0 success or valid; 1 invalid certificate or failed suite;
 2 usage or input error; 3 budget-limited bracket. Budgets come only from
-flags. Node budgets and brute caps below 1 and negative or NaN time budgets
-exit 2, and so does a budget flag the chosen solve mode does not read
+flags. Node budgets and brute caps below 1 and negative, infinite or NaN time
+budgets exit 2, and so does a budget flag the chosen solve mode does not read
 (_MODE_FLAGS).
 """
 
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -227,8 +228,8 @@ def _solve_budgets(args: argparse.Namespace) -> dict[str, Any]:
         value = given[flag]
         if value is None:
             value = default
-        elif not value >= least:  # also rejects NaN
-            raise ValueError(f"{flag} must be at least {least}, got {value}")
+        elif not least <= value < math.inf:  # also rejects NaN
+            raise ValueError(f"{flag} must be finite and at least {least}, got {value}")
         budgets[key] = value
     return budgets
 

@@ -23,15 +23,14 @@ smallest labels, so a form sits on the first vertices of KG(N, n), which the
 exact search colors first. On KG(7,2) its refutations then take 12.5k nodes;
 labeling from the first cell, they take 48k.
 
-Generation: canonical augmentation (McKay, Isomorph-free exhaustive
-generation, J. Algorithms 26, 1998). A canonical deletion of a family Y is a
-member that some form-giving labeling maps to the form's last subset; the
-automorphisms of Y permute the form-giving labelings, so the canonical
-deletions are one orbit of them. A child X + e of a level-j representative X
-is kept when e is a canonical deletion of X + e and no earlier kept child of
-X has the same form. So every level-(j+1) orbit is kept exactly once: from
-the representative of its canonical parent, the orbit of Y minus a canonical
-deletion.
+Generation: level j+1 is the set of the forms of the children X + e of the
+level-j forms X. Every (j+1)-set Y is such a child up to isomorphism: Y less
+one member is a j-set, so some permutation maps it onto a level-j form X, and
+so maps Y onto X + e for some e. Equal forms are one orbit, since a form is a
+member of its own orbit, and isomorphic children have equal forms. So the set
+holds exactly one form per level-(j+1) orbit. A permutation within the twin
+classes of X fixes X, so children X + e whose e meet the same twin classes are
+isomorphic, and one e per class is enough.
 
 The committed table `data/orbits.json` holds, for each (N, n) in TABLED,
 the levels 1..best, where best is the least closed-form bound on phi(KG(N, n))
@@ -115,35 +114,28 @@ def _refine(
         cells = out
 
 
-def _canonical(members: Family, ground: int) -> tuple[Family, set[int]]:
-    """(form, deletions): the canonical form of a family of subsets of
-    [ground], and its canonical deletions."""
+def _canonical(members: Family, ground: int) -> Family:
+    """The canonical form of a family of subsets of [ground]."""
     others = [
         [tuple(q for q in bit_indices(m) if q != p) for m in members if m >> p & 1]
         for p in range(ground)
     ]
     twin = _twins(members, ground)
     best: Family | None = None
-    deletions: set[int] = set()
-
-    def leaf(cells: list[list[int]]) -> None:
-        nonlocal best
-        label = [0] * ground
-        for i, (p,) in enumerate(cells):
-            label[p] = ground - 1 - i
-        image = {sum(1 << label[q] for q in bit_indices(m)): m for m in members}
-        form = tuple(sorted(image))
-        if best is None or form < best:
-            best = form
-            deletions.clear()
-        if form == best:
-            deletions.add(image[form[-1]])
 
     def search(cells: list[list[int]]) -> None:
+        nonlocal best
         cells = _refine(cells, others)
         target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
         if target is None:
-            leaf(cells)
+            label = [0] * ground
+            for i, (p,) in enumerate(cells):
+                label[p] = ground - 1 - i
+            form = tuple(
+                sorted(sum(1 << label[q] for q in bit_indices(m)) for m in members)
+            )
+            if best is None or form < best:
+                best = form
             return
         tried = set()
         for v in cells[target]:
@@ -153,10 +145,7 @@ def _canonical(members: Family, ground: int) -> tuple[Family, set[int]]:
                 search(cells[:target] + [[v], rest] + cells[target + 1:])
 
     search([list(range(ground))])
-    # the pruned subtrees are images of searched ones under twin
-    # transpositions, so their deletions are these up to twins
-    classes = {_twin_class(m, twin) for m in deletions}
-    return best, {m for m in members if _twin_class(m, twin) in classes}
+    return best
 
 
 def generate(ground: int, n: int, top_level: int) -> list[list[Family]]:
@@ -166,22 +155,15 @@ def generate(ground: int, n: int, top_level: int) -> list[list[Family]]:
     levels: list[list[Family]] = []
     parents: list[Family] = [()]
     for _ in range(top_level):
-        children: list[Family] = []
+        children: set[Family] = set()
         for parent in parents:
             twin = _twins(parent, ground)
             tried = set()
-            kept = set()
             for e in subsets:
-                # a permutation within the parent's twin classes maps a child
-                # onto an isomorphic one: augment by one subset of each class
                 key = _twin_class(e, twin)
-                if e in parent or key in tried:
-                    continue
-                tried.add(key)
-                form, deletions = _canonical(parent + (e,), ground)
-                if e in deletions and form not in kept:
-                    kept.add(form)
-                    children.append(form)
+                if e not in parent and key not in tried:
+                    tried.add(key)
+                    children.add(_canonical(parent + (e,), ground))
         parents = sorted(children)
         levels.append(parents)
     return levels

@@ -1,5 +1,6 @@
 """Verification suites: sharpness at n=1, the bound crossover, solver/oracle
-equivalence on a committed seed list, and finite-k ratio monotonicity.
+equivalence on a fixed list of seeded random graphs, and finite-k ratio
+monotonicity.
 
 Each suite returns a SuiteReport with per-check outcomes and the computed
 tables, so the CLI and the test suite share one implementation.
@@ -7,11 +8,9 @@ tables, so the CLI and the test suite share one implementation.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from importlib import resources
 from typing import Any
 
 from .bcoloring import analyze_proof_structure
@@ -20,7 +19,6 @@ from .formats import fraction_str
 from .kneser import Graph, KneserParams, build_graph
 from .solver import brute_force_phi, exact_phi, heuristic_b_coloring, phi_upper_bound
 
-SEED_LIST_RESOURCE = "oracle_seeds.json"
 CROSSOVER_K_MAX = 12
 RATIOS_K_MAX = 200
 
@@ -73,9 +71,13 @@ def erdos_renyi_graph(n: int, p: float, seed: int) -> Graph:
 
 
 def load_seed_entries() -> list[dict[str, Any]]:
-    """Entries of the committed seed list."""
-    text = resources.files("bkneser.data").joinpath(SEED_LIST_RESOURCE).read_text()
-    return json.loads(text)["entries"]
+    """The 210 seeded G(n, p) of the oracle suite: seeds 1001..1070, each at
+    densities 0.2, 0.5 and 0.8, on 5..9 vertices in turn."""
+    return [
+        {"seed": 1001 + i, "vertices": 5 + i % 5, "density": p}
+        for i in range(70)
+        for p in (0.2, 0.5, 0.8)
+    ]
 
 
 def run_sharpness() -> SuiteReport:
@@ -197,7 +199,8 @@ def _solve_instance(
 
 def run_oracle() -> SuiteReport:
     """Exact solver against the brute-force oracle: all small Kneser instances
-    and the committed random-graph seed list, with the sandwich property."""
+    and the seeded random graphs of load_seed_entries, with the sandwich
+    property."""
     report = SuiteReport("oracle")
     report.data["rows"] = []
     for params in SMALL_KNESER_PARAMS:

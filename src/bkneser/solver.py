@@ -75,6 +75,7 @@ domination at the leaves, with no shared search machinery.
 from __future__ import annotations
 
 import heapq
+import sys
 import time
 from dataclasses import dataclass
 from functools import reduce
@@ -89,6 +90,9 @@ from .kneser import Graph, InstanceTooLarge, bit_indices
 DEFAULT_NODE_BUDGET = 100_000_000
 DEFAULT_BRUTE_FORCE_CAP = 12
 _CLOCK_EVERY = 2048
+# The search recurses once per vertex it colors. Python 3.10, whose calls use
+# the C stack, overflowed an 8 MB stack between 20,000 and 30,000 such frames.
+_MAX_SEARCH_VERTICES = 10_000
 
 
 @dataclass(frozen=True)
@@ -399,7 +403,15 @@ def feasible_b_coloring(
         raise ValueError("empty graph rejected")
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in 1..{n}")
+    if n > _MAX_SEARCH_VERTICES:
+        raise InstanceTooLarge(
+            f"instance too large: the exact search is capped at "
+            f"{_MAX_SEARCH_VERTICES} vertices (got {n})"
+        )
     tracker = _tracker if _tracker is not None else _BudgetTracker(budget or Budget())
+    # room for one frame per vertex, and the few around them
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + n + 10)
     try:
         for seeds in _seed_tuples(graph, k):
             tracker.check()  # a deadline already past stops before the first node
@@ -414,6 +426,8 @@ def feasible_b_coloring(
             tested_k=k,
             nodes_explored=tracker.nodes,
         ) from None
+    finally:
+        sys.setrecursionlimit(limit)
     certificate = Coloring.from_sequence(assignment)
     if certificate.color_count != k:
         raise RuntimeError("internal error: search lost a color class")

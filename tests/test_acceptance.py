@@ -201,7 +201,7 @@ def test_criterion_7_consistency_sandwich(mode_certificates, oracle_report):
             failures.append(
                 f"KG({params.ground_size},{params.n}): {lower} <= {phi} <= {upper}"
             )
-    # random instances from the committed seed list
+    # the random instances of the oracle suite
     for entry in load_seed_entries():
         graph = erdos_renyi_graph(entry["vertices"], entry["density"], entry["seed"])
         phi = exact_phi(graph).phi

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from bkneser import Coloring, KneserParams, build_graph, heuristic_b_coloring
+from bkneser import Coloring, Graph, KneserParams, build_graph, heuristic_b_coloring
+from bkneser.cli import main
 from bkneser.formats import (
     certificate_dict,
     dimacs_dumps,
@@ -253,6 +254,24 @@ class TestSolveCli:
         assert read_certificate(tmp_path / "h.json")[0] == base
         verify = run_cli(["verify", str(graph_file), "h.json"], cwd=tmp_path)
         assert verify.returncode == EXIT_OK, verify.stderr
+
+    def test_deep_search_in_process(self, tmp_path, capsys):
+        # a 1,100-vertex path beside a Petersen graph: the search at k = 4
+        # colors more vertices in one branch than the default recursion limit
+        # of 1,000 frames allows
+        edges = [(v, v + 1) for v in range(1099)]
+        for i in range(5):
+            edges += [(1100 + i, 1100 + (i + 1) % 5), (1100 + i, 1105 + i)]
+            edges.append((1105 + i, 1105 + (i + 2) % 5))
+        graph_file = str(tmp_path / "deep.col")
+        write_graph(graph_file, Graph.from_edges(1110, edges))
+        limit = sys.getrecursionlimit()
+        cert = str(tmp_path / "c.json")
+        argv = ["solve", graph_file, "--budget-nodes", "100000", "--format", "json"]
+        assert main([*argv, "--cert", cert]) == EXIT_BUDGET
+        bracket = json.loads(capsys.readouterr().out)["bracket"]
+        assert bracket == {"lower": 3, "upper": 4}
+        assert sys.getrecursionlimit() == limit
 
     @pytest.mark.parametrize(
         "cert,message",
@@ -704,6 +723,8 @@ class TestUsageErrors:
             (["--mode", "heuristic", "--budget-nodes", "5"], {},
              "--budget-nodes does not apply to --mode heuristic"),
             (["--brute-cap", "15"], {}, "--brute-cap does not apply to --mode exact"),
+            # JSON output has no encoding for an infinite budget
+            (["--budget-seconds", "inf"], {}, "--budget-seconds must be finite"),
         ],
     )
     def test_solve_rejects_bad_budgets_and_removed_flags(

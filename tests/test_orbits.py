@@ -1,6 +1,6 @@
-"""The committed orbit table: one representative per S_N-orbit, checked
-against Burnside's lemma and a backtracking isomorphism test that share
-nothing with the generator, and reproduced by regenerating it."""
+"""The orbit table and its generator: one representative per S_N-orbit,
+checked against Burnside's lemma and a backtracking isomorphism test that
+share nothing with the generator, and reproduced by regenerating it."""
 
 import os
 import random
@@ -12,11 +12,15 @@ from math import factorial, prod
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from bkneser import KneserParams, build_graph, enumerate_vertices
 from bkneser.orbits import (
     TABLED,
+    _canonical,
     committed_table,
+    generate,
     representatives,
     table_levels,
     table_masks,
@@ -138,6 +142,36 @@ def test_isomorphism_oracle():
         perm = list(range(8))
         rng.shuffle(perm)
         assert isomorphic_families(family, [{perm[p] for p in s} for s in family], 8)
+
+
+def test_generated_level_sizes_are_burnside_counts():
+    # N = 9 is past the committed table, so this checks the generator itself
+    levels = generate(9, 2, 8)
+    assert [len(level) for level in levels] == burnside_counts(9, 2)[1:9]
+
+
+_NINE_POINT_FAMILIES = st.sampled_from([2, 3]).flatmap(
+    lambda n: st.sets(
+        st.sampled_from([sum(1 << p for p in c) for c in combinations(range(9), n)]),
+        max_size=16,
+    )
+)
+
+
+@given(_NINE_POINT_FAMILIES, st.permutations(range(9)))
+# a triangle and a hexagon: refinement splits no cell, and the relabeling
+# moves point 0 from the triangle to the hexagon
+@example(
+    {0b11, 0b110, 0b101} | {1 << (3 + i) | 1 << (3 + (i + 1) % 6) for i in range(6)},
+    [(p + 3) % 9 for p in range(9)],
+)
+def test_relabelings_share_one_canonical_form(family, perm):
+    relabeled = {sum(1 << perm[p] for p in range(9) if m >> p & 1) for m in family}
+    form = _canonical(tuple(sorted(family)), 9)
+    assert _canonical(tuple(sorted(relabeled)), 9) == form
+    # a form is a member of its own orbit, so it is its own form
+    assert len(form) == len(family)
+    assert _canonical(form, 9) == form
 
 
 @pytest.mark.parametrize("ground", [4, 5, 6, 7])

@@ -143,6 +143,12 @@ class TestFeasible:
             feasible_b_coloring(petersen, 3, budget=Budget(max_nodes=1))
         assert info.value.tested_k == 3
 
+    def test_vertex_cap(self):
+        # the search recurses once per vertex: past the cap it refuses, in
+        # place of overflowing the stack
+        with pytest.raises(InstanceTooLarge, match="capped at 10000 vertices"):
+            feasible_b_coloring(Graph([0] * 10_001), 1)
+
     def test_single_class_on_edgeless_graph(self):
         g = Graph([0, 0, 0])
         cert = feasible_b_coloring(g, 1)
