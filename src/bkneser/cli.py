@@ -123,13 +123,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    def usage(msg: str) -> int:
-        _fail(msg)
-        return EXIT_USAGE
-
     if args.scan is not None:
         if args.n is not None or args.k is not None:
-            return usage("give either n k or --scan, not both")
+            raise ValueError("give either n k or --scan, not both")
         n, kmin, kmax = args.scan
         rows = asymptotic_table(n, kmin, kmax)
         cfg = _config_dict(args, ["scan", "format"])
@@ -154,10 +150,10 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
                 )
         return EXIT_OK
     if args.n is None or args.k is None:
-        return usage("bounds requires n and k, or --scan")
+        raise ValueError("bounds requires n and k, or --scan")
     report = best_upper_bound(KneserParams(args.n, args.k))
     if args.format == "csv":
-        return usage("CSV output is only available for --scan tables")
+        raise ValueError("CSV output is only available for --scan tables")
     cfg = _config_dict(args, ["n", "k", "format"])
     if args.format == "json":
         _emit({"config": cfg, "report": formats.bounds_report_dict(report)})
@@ -317,17 +313,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     graph = formats.load_graph(args.graph)
     coloring, cert_params, claimed = formats.read_certificate(args.certificate)
     if len(coloring.colors) != graph.vertex_count:
-        _fail(
+        raise ValueError(
             f"certificate covers {len(coloring.colors)} vertices, "
             f"graph has {graph.vertex_count}"
         )
-        return EXIT_USAGE
     if cert_params is not None and graph.params is not None and cert_params != graph.params:
-        _fail("certificate and graph disagree on Kneser parameters")
-        return EXIT_USAGE
+        raise ValueError("certificate and graph disagree on Kneser parameters")
     if args.proof_structure and graph.params is None:
-        _fail("--proof-structure requires a Kneser-tagged graph")
-        return EXIT_USAGE
+        raise ValueError("--proof-structure requires a Kneser-tagged graph")
     cfg = _config_dict(args, ["graph", "certificate", "proof_structure", "format"])
     verdict = is_b_coloring(graph, coloring)
     payload: dict[str, Any] = {

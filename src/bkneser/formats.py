@@ -5,7 +5,9 @@ Field names and orders are frozen in docs/SCHEMAS.md; graph files tagged with
 Kneser parameters are re-derived from those parameters on load and the stored
 edge list must match exactly. Graph files are read once, line by line, by one
 loop that `load_graph` and `dimacs_loads` share: memory grows with the graph,
-not with the file.
+not with the file. A rational renders as `p/q` beside its exact value rounded
+half-even to six places. The scan CSV's columns are `scan_row_dict`'s keys; a
+rational's key takes two, `<key>` holding `p/q` and `<key>_decimal`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import io
 import json
 import re
-from decimal import Decimal, localcontext
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterable, Iterator
@@ -31,17 +33,9 @@ def fraction_str(f: Fraction) -> str:
 
 
 def fraction_decimal_str(f: Fraction) -> str:
-    """Six-place decimal rendering with half-even rounding; storage stays exact.
-
-    The quotient keeps 50 significant digits, or its integer digits and six
-    places when those are more; a quotient that rounds up to one more integer
-    digit still fits the quantized result, which gets one digit more."""
-    digits = len(str(abs(f.numerator) // f.denominator))
-    with localcontext() as ctx:
-        ctx.prec = max(50, digits + 6)
-        q = Decimal(f.numerator) / Decimal(f.denominator)
-        ctx.prec += 1
-        return str(q.quantize(Decimal("0.000001")))
+    """The exact value rounded half-even to six places, at any size."""
+    whole, places = divmod(round(abs(f) * 1_000_000), 1_000_000)
+    return f"{'-' if f < 0 else ''}{whole}.{places:06d}"
 
 
 def fraction_human(f: Fraction) -> str:
@@ -177,14 +171,12 @@ def load_graph(path: str | Path) -> Graph:
 # certificates
 
 
-def certificate_dict(
-    coloring: Coloring, params: KneserParams | None, claimed: bool = True
-) -> dict[str, Any]:
+def certificate_dict(coloring: Coloring, params: KneserParams | None) -> dict[str, Any]:
     return {
         "params": {"n": params.n, "k": params.k} if params is not None else None,
         "vertex_count": len(coloring.colors),
         "colors": list(coloring.colors),
-        "claimed_b_coloring": claimed,
+        "claimed_b_coloring": True,
     }
 
 
@@ -282,15 +274,9 @@ def bounds_report_dict(report: BoundsReport) -> dict[str, Any]:
         "vertex_count": params.vertex_count,
         "degree": params.degree,
         "regular_bound": report.regular_bound,
-        "bk": {
-            "applicable": report.bk.applicable,
-            "hypothesis_met": report.bk.hypothesis_met,
-            "i_max": report.bk.i_max,
-            "value": report.bk.value,
-        },
+        "bk": asdict(report.bk),  # its fields in the schema's order
         "u": {
-            "exact": fraction_str(report.u_exact),
-            "decimal": fraction_decimal_str(report.u_exact),
+            **fraction_json(report.u_exact),
             "floor": report.u_floor,
             "sharp_n1": params.n == 1,
         },
@@ -300,12 +286,6 @@ def bounds_report_dict(report: BoundsReport) -> dict[str, Any]:
             "degree_over_v": fraction_json(report.ratios.degree_over_v),
         },
     }
-
-
-_SCAN_CSV_HEADER = (
-    "k,N,vertex_count,degree,regular,bk,u_floor,best,"
-    "ratio_2N_over_V,ratio_2N_over_V_decimal,ratio_d_over_V,ratio_d_over_V_decimal"
-)
 
 
 def scan_row_dict(report: BoundsReport) -> dict[str, Any]:
@@ -325,25 +305,15 @@ def scan_row_dict(report: BoundsReport) -> dict[str, Any]:
 
 
 def scan_rows_csv(reports: list[BoundsReport]) -> str:
-    lines = [_SCAN_CSV_HEADER]
-    for r in reports:
-        p, ratios = r.params, r.ratios
-        lines.append(
-            ",".join(
-                [
-                    str(p.k),
-                    str(p.ground_size),
-                    str(p.vertex_count),
-                    str(p.degree),
-                    str(r.regular_bound),
-                    "" if r.bk_value is None else str(r.bk_value),
-                    str(r.u_floor),
-                    str(r.best),
-                    fraction_str(ratios.two_ground_over_v),
-                    fraction_decimal_str(ratios.two_ground_over_v),
-                    fraction_str(ratios.degree_over_v),
-                    fraction_decimal_str(ratios.degree_over_v),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    """`scan_row_dict` flattened under a header of its keys; `null` is empty."""
+    rows = []
+    for report in reports:
+        cells = {}
+        for key, value in scan_row_dict(report).items():
+            if isinstance(value, dict):
+                cells[key], cells[f"{key}_decimal"] = value["exact"], value["decimal"]
+            else:
+                cells[key] = "" if value is None else str(value)
+        rows.append(cells)
+    lines = [rows[0].keys(), *(cells.values() for cells in rows)]
+    return "".join(",".join(line) + "\n" for line in lines)

@@ -20,8 +20,8 @@ a node.
 
 Labeling from the last cell gives the points that meet the most subsets the
 smallest labels, so a form sits on the first vertices of KG(N, n), which the
-exact search colors first. On KG(7,2) its refutations then take 12.5k nodes;
-labeling from the first cell, they take 48k.
+exact search colors first. On KG(7,2) its refutations (k = 8, 9, 10) then
+take 6,978 nodes; labeling from the first cell, they take 13,486.
 
 Generation: level j+1 is the set of the forms of the children X + e of the
 level-j forms X. Every (j+1)-set Y is such a child up to isomorphism: Y less

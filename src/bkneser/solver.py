@@ -90,8 +90,9 @@ from .kneser import Graph, InstanceTooLarge, bit_indices
 DEFAULT_NODE_BUDGET = 100_000_000
 DEFAULT_BRUTE_FORCE_CAP = 12
 _CLOCK_EVERY = 2048
-# The search recurses once per vertex it colors. Python 3.10, whose calls use
-# the C stack, overflowed an 8 MB stack between 20,000 and 30,000 such frames.
+# The search and the brute-force oracle recurse once per vertex. Python 3.10,
+# whose calls use the C stack, overflowed an 8 MB stack between 20,000 and
+# 30,000 such frames.
 _MAX_SEARCH_VERTICES = 10_000
 
 
@@ -461,6 +462,11 @@ def brute_force_phi(graph: Graph, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> SolveRe
         raise InstanceTooLarge(
             f"instance too large: brute force capped at {cap} vertices (got {n})"
         )
+    if n > _MAX_SEARCH_VERTICES:
+        raise InstanceTooLarge(
+            f"instance too large: brute force is capped at "
+            f"{_MAX_SEARCH_VERTICES} vertices at any cap (got {n})"
+        )
     start = time.perf_counter()
     ub = degree_bound(graph)
     adj = graph.masks
@@ -529,7 +535,14 @@ def brute_force_phi(graph: Graph, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> SolveRe
             block_masks.pop()
         colors[v] = -1
 
-    descend(0)
+    # descend recurses once per vertex: room for its frames, as in
+    # feasible_b_coloring
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + n + 10)
+    try:
+        descend(0)
+    finally:
+        sys.setrecursionlimit(limit)
     if not found:
         raise RuntimeError("internal error: no b-coloring found at any k >= 1")
     phi = max(found)

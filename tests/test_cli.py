@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -203,6 +204,15 @@ class TestSolveCli:
     def test_complete_graph(self, tmp_path):
         proc = run_cli(["solve", "1", "4", "--format", "json"], cwd=tmp_path)
         assert json.loads(proc.stdout)["phi"] == 6
+
+    def test_brute_mode_past_the_default_recursion_limit(self, tmp_path):
+        # the oracle recurses once per vertex
+        (tmp_path / "e.col").write_text("p edge 1100 0\n")
+        proc = run_cli(
+            ["solve", "e.col", "--mode", "brute", "--brute-cap", "2000"], cwd=tmp_path
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.startswith("phi 1 (brute mode)")
 
     def test_brute_mode(self, tmp_path):
         graph_file = tmp_path / "m.col"
@@ -480,6 +490,10 @@ class TestBoundsCli:
         )
         lines = proc.stdout.strip().splitlines()
         assert len(lines) == 14  # header + 13 rows
+        # the header is the one the schema documents
+        schemas = Path(__file__).resolve().parent.parent / "docs" / "SCHEMAS.md"
+        documented = schemas.read_text().split("## Scan CSV")[1].split("```")[1]
+        assert lines[0] == documented.strip()
         k6 = lines[7].split(",")
         assert (k6[5], k6[6]) == ("22", "21")  # bk, u_floor at the crossover
 
@@ -523,6 +537,37 @@ class TestBoundsCli:
         # rounding up to one more integer digit
         assert rendered(big * scale - 5) == f"{big}.000000"
         assert rendered(-(big * scale - 5)) == f"-{big}.000000"
+        # 43 integer digits; the exact remainder is 0.4856 of a unit in the
+        # sixth place, so that place rounds down
+        f = Fraction(
+            8669627315519919332070567716069112302891091235725298584971025,
+            983124136688652883,
+        )
+        assert fraction_decimal_str(f) == (
+            "8818446208350509794736206610031070782712975.344583"
+        )
+
+    def test_decimal_matches_exact_rounding(self):
+        def exact(f):
+            """f rounded half-even to six places by integer division."""
+            units, rest = divmod(abs(f.numerator) * 10**6, f.denominator)
+            if 2 * rest > f.denominator or (2 * rest == f.denominator and units % 2):
+                units += 1
+            return f"{'-' if f < 0 else ''}{units // 10**6}.{units % 10**6:06d}"
+
+        # every size of integer part up to 60 digits, the 43 and 44 digits
+        # that fill 50 significant digits with six places included
+        rng = random.Random(15)
+        for digits in range(1, 61):
+            for draw in range(100):
+                if draw % 10 == 0:
+                    # exact ties when the numerator is odd
+                    den = 2 * 10**6
+                else:
+                    den = rng.randrange(1, 10 ** rng.randint(1, 20))
+                num = rng.randrange(10 ** (digits - 1) * den, 10**digits * den)
+                f = Fraction(rng.choice((1, -1)) * num, den)
+                assert fraction_decimal_str(f) == exact(f), f
 
 
 class TestReproduceCli:
@@ -671,6 +716,43 @@ _MALFORMED_INPUTS = [
         for command in ("solve", "verify")
         for case_id, doc in _JSON_GRAPHS.items()
     ],
+    pytest.param(
+        ["solve", "g.col", "--mode", "brute", "--brute-cap", "20000"],
+        {"g.col": "p edge 10010 0\n"},
+        "error: instance too large: brute force is capped at 10000 vertices",
+        id="solve-brute-past-vertex-cap",
+    ),
+    pytest.param(
+        ["verify", "g.col", "c.json"],
+        {"g.col": _TWO_VERTEX_GRAPH,
+         "c.json": _certificate(vertex_count=3, colors=[0, 1, 2])},
+        "error: certificate covers 3 vertices, graph has 2",
+        id="verify-vertex-count",
+    ),
+    pytest.param(
+        ["verify", "g.col", "c.json"],
+        {"g.col": "c kneser n=1 k=0\n" + _TWO_VERTEX_GRAPH,
+         "c.json": _certificate(params={"n": 2, "k": 0})},
+        "error: certificate and graph disagree on Kneser parameters",
+        id="verify-params",
+    ),
+    pytest.param(
+        ["verify", "g.col", "c.json", "--proof-structure"],
+        {"g.col": _TWO_VERTEX_GRAPH, "c.json": _certificate()},
+        "error: --proof-structure requires a Kneser-tagged graph",
+        id="verify-untagged-proof-structure",
+    ),
+    pytest.param(
+        ["bounds", "2", "1", "--scan", "2", "0", "3"], {},
+        "error: give either n k or --scan, not both", id="bounds-both",
+    ),
+    pytest.param(
+        ["bounds"], {}, "error: bounds requires n and k, or --scan", id="bounds-none"
+    ),
+    pytest.param(
+        ["bounds", "2", "1", "--format", "csv"], {},
+        "error: CSV output is only available for --scan tables", id="bounds-csv",
+    ),
     pytest.param(
         ["gen", "2", "1", "--out", "g", "--format", "json"], {},
         "error: unrecognized arguments: --format json", id="gen-format",

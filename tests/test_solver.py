@@ -105,6 +105,14 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             brute_force_phi(Graph([]))
 
+    def test_past_the_default_recursion_limit(self):
+        # descend recurses once per vertex
+        assert brute_force_phi(Graph([0] * 1100), cap=2000).phi == 1
+
+    def test_vertex_cap_at_any_cap(self):
+        with pytest.raises(InstanceTooLarge, match="capped at 10000 vertices"):
+            brute_force_phi(Graph([0] * 10_001), cap=20_000)
+
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
     def test_matches_naive_enumeration(self, seed, p):
