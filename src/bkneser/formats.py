@@ -191,6 +191,19 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _binomial_is(top: int, bottom: int, value: int) -> bool:
+    """C(top, bottom) == value, for 2 * bottom <= top. The partial binomials
+    C(top, i) grow with i up to top/2 and are at least 2**i, so the loop
+    stops within about log2(value) steps once one passes value: a certificate
+    never makes it compute a huge binomial."""
+    count = 1
+    for i in range(bottom):
+        count = count * (top - i) // (i + 1)
+        if count > value:
+            return False
+    return count == value
+
+
 def certificate_from_dict(
     data: Any,
 ) -> tuple[Coloring, KneserParams | None, bool]:
@@ -220,6 +233,11 @@ def certificate_from_dict(
     params = None
     if raw_params is not None:
         params = KneserParams(raw_params["n"], raw_params["k"])
+        if not _binomial_is(params.ground_size, params.n, len(colors)):
+            raise ValueError(
+                f"certificate vertex_count {len(colors)} is not the vertex count "
+                f"of KG({params.ground_size}, {params.n}) given by its params"
+            )
     # Labels are canonicalized on load; class structure is unaffected.
     return Coloring.from_sequence(colors), params, data["claimed_b_coloring"]
 

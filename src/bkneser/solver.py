@@ -621,31 +621,29 @@ def heuristic_b_coloring(
 ) -> SolveResult:
     """Greedy lower-bound certificate; always returns a verified b-coloring.
 
-    Two phases: (1) a guaranteed fallback that takes a largest-first proper
-    coloring and repeatedly recolors away any class lacking a dominating
-    vertex (each member of such a class misses some color, and members are
-    pairwise non-adjacent, so the class always empties and the color count
-    drops by one; properness is preserved throughout); (2) seeded greedy
-    attempts for each larger k, descending from phi_upper_bound (no coloring
-    with more colors can pass the verifier), with a bounded single-vertex
-    repair pass, kept only if the verifier accepts the result. Once
-    `deadline`, a time.monotonic() value, has passed, phase 2 abandons its
-    attempt and starts no other; without one it never reads the clock.
+    The best of `_eliminate_undominated` over a list of proper colorings: a
+    largest-first greedy coloring, then, for each k from phi_upper_bound
+    down while k exceeds the best count so far, a seeded greedy coloring
+    with k colors (a candidate with k colors keeps at most k). Elimination
+    turns any proper coloring into a b-coloring, so the first candidate
+    always gives a result. Once `deadline`, a time.monotonic() value, has
+    passed, the current seeded candidate is abandoned and no other starts;
+    the first candidate ignores it. Without a deadline the clock is never
+    read.
     """
-    n = graph.vertex_count
-    if n == 0:
+    if graph.vertex_count == 0:
         raise ValueError("empty graph rejected")
     start = time.perf_counter()
     steps = [0]
-    base = _eliminate_undominated(graph, _greedy_proper(graph, steps), steps)
-    best = base
-    for k in range(phi_upper_bound(graph), base.color_count, -1):
-        if _expired(deadline):
-            break
-        attempt = _seeded_greedy(graph, k, steps, deadline)
-        if attempt is not None:
-            best = attempt
-            break
+    best = _eliminate_undominated(graph, _greedy_proper(graph, steps), steps)
+    k = phi_upper_bound(graph)
+    while k > best.color_count and not _expired(deadline):
+        colors = _seeded_proper(graph, k, steps, deadline)
+        if colors is not None:
+            found = _eliminate_undominated(graph, colors, steps, deadline)
+            if found is not None and found.color_count > best.color_count:
+                best = found
+        k -= 1
     if not is_b_coloring(graph, best).valid:
         raise RuntimeError("internal error: heuristic produced an invalid coloring")
     return SolveResult(
@@ -679,12 +677,24 @@ def _greedy_proper(graph: Graph, steps: list[int]) -> list[int]:
 
 
 def _eliminate_undominated(
-    graph: Graph, colors: list[int], steps: list[int]
-) -> Coloring:
-    """Recolor away undominated classes until the coloring is a b-coloring."""
+    graph: Graph,
+    colors: list[int],
+    steps: list[int],
+    deadline: float | None = None,
+) -> Coloring | None:
+    """Recolor away undominated classes of the proper coloring `colors`
+    until it is a b-coloring (Irving & Manlove, Discrete Appl. Math. 91,
+    1999); None when `deadline` passes, checked once per round.
+
+    Each member of a class with no dominating vertex misses some color, and
+    members are pairwise non-adjacent, so moving one to a color it misses
+    leaves the others missing theirs: the class empties, the color count
+    drops by one and the coloring stays proper.
+    """
     adj = graph.masks
-    rounds = max(c for c in colors) + 2
-    for _ in range(rounds):
+    for _ in range(max(colors) + 2):
+        if _expired(deadline):
+            return None
         coloring = Coloring.from_sequence(colors)
         verdict = is_b_coloring(graph, coloring)
         if verdict.valid:
@@ -706,11 +716,14 @@ def _eliminate_undominated(
     raise RuntimeError("internal error: undominated-class elimination diverged")
 
 
-def _seeded_greedy(
+def _seeded_proper(
     graph: Graph, k: int, steps: list[int], deadline: float | None = None
-) -> Coloring | None:
-    """One greedy attempt at a k-color b-coloring; None when it fails or
-    `deadline` passes, checked once per vertex and once per repair."""
+) -> list[int] | None:
+    """A greedy proper coloring with k colors, each seeded on one of the k
+    largest-first vertices of degree >= k-1, each other vertex taking the
+    color that most seed neighborhoods around it still miss. None when no
+    such seeds exist, some vertex has no color left, or `deadline` passes,
+    checked once per vertex."""
     adj = graph.masks
     order = _largest_first(adj)
     seeds = [v for v in order if adj[v].bit_count() >= k - 1][:k]
@@ -731,53 +744,7 @@ def _seeded_greedy(
         if not avail:
             return None
         near = [cw for cw in seed_closed if cw >> v & 1]
-        c = max(avail, key=lambda c: (_seed_gain(near, classes[c]), -c))
+        c = max(avail, key=lambda c: (sum(not cw & classes[c] for cw in near), -c))
         colors[v] = c
         classes[c] |= 1 << v
-    for _ in range(k + 1):
-        if _expired(deadline):
-            return None
-        coloring = Coloring.from_sequence(colors)
-        verdict = is_b_coloring(graph, coloring)
-        if verdict.valid:
-            return coloring
-        if verdict.reason is not BColoringFailure.MISSING_DOMINATING_VERTEX:
-            return None
-        colors = list(coloring.colors)
-        assert verdict.failing_color is not None
-        if not _repair_class(graph, colors, verdict.failing_color, k, steps):
-            return None
-    return None
-
-
-def _seed_gain(near: list[int], members: int) -> int:
-    """How many of the closed seed neighborhoods `near` (those holding the
-    vertex being colored) still miss the class `members`."""
-    return sum(1 for cw in near if not cw & members)
-
-
-def _repair_class(
-    graph: Graph, colors: list[int], failing: int, k: int, steps: list[int]
-) -> bool:
-    """Move one vertex so a candidate witness of the failing class gains a
-    missing color; True when a move was made (validity is re-checked later)."""
-    adj = graph.masks
-    classes = class_masks(colors, k)
-    for w in bit_indices(classes[failing]):
-        if adj[w].bit_count() < k - 1:
-            continue
-        closed = adj[w] | (1 << w)
-        missing = [c for c in range(k) if not closed & classes[c]]
-        if not missing:
-            return True  # w already dominates; verifier will confirm
-        nbrs = bit_indices(adj[w])
-        for c in missing:
-            for u in nbrs:
-                steps[0] += 1
-                if classes[colors[u]].bit_count() <= 1:
-                    continue
-                if adj[u] & classes[c]:
-                    continue
-                colors[u] = c
-                return True
-    return False
+    return colors

@@ -146,7 +146,7 @@ class TestFormats:
         assert peak < 2 * size, (peak, size)
 
     def test_certificate_roundtrip(self, tmp_path):
-        cert = Coloring.from_sequence([0, 1, 0, 2])
+        cert = Coloring.from_sequence([0, 1, 0, 2, 2, 1])  # KG(4,2): 6 vertices
         doc = certificate_dict(cert, KneserParams(2, 0))
         assert set(doc) == {"params", "vertex_count", "colors", "claimed_b_coloring"}
         path = tmp_path / "c.json"
@@ -683,6 +683,33 @@ _MALFORMED_INPUTS = [
         "claimed-string", _certificate(claimed_b_coloring="no"),
         "claimed_b_coloring must be true or false",
     ),
+    # params that contradict vertex_count, also against an untagged graph
+    _bad_certificate(
+        "params-ground-set-too-large",
+        _certificate(params={"n": 2, "k": 1}),
+        "vertex_count 2 is not the vertex count of KG(5, 2) given by its params",
+    ),
+    _bad_certificate(
+        "params-huge-binomial",
+        _certificate(params={"n": 10**9, "k": 0}),
+        "vertex_count 2 is not the vertex count of KG(2000000000, 1000000000)",
+    ),
+    pytest.param(
+        ["verify", "g.col", "c.json"],
+        {"g.col": "p edge 3 1\ne 1 2\n",
+         "c.json": _certificate(params={"n": 2, "k": 1}, vertex_count=3,
+                                colors=[0, 1, 0])},
+        "error: certificate vertex_count 3 is not the vertex count of KG(5, 2)",
+        id="params-against-untagged-graph",
+    ),
+    pytest.param(
+        ["verify", "g.col", "c.json"],
+        {"g.col": "p edge 5 1\ne 1 2\n",
+         "c.json": _certificate(params={"n": 2, "k": 0}, vertex_count=5,
+                                colors=[0, 1, 0, 0, 0])},
+        "error: certificate vertex_count 5 is not the vertex count of KG(4, 2)",
+        id="params-binomial-mismatch",
+    ),
     _bad_graph(
         "negative-vertices", "solve", "p edge -3 0\n",
         "malformed problem line: 'p edge -3 0'",
@@ -729,10 +756,13 @@ _MALFORMED_INPUTS = [
         "error: certificate covers 3 vertices, graph has 2",
         id="verify-vertex-count",
     ),
+    # KG(6,1) and KG(4,2) both have 6 vertices, so each certificate's params
+    # agree with its vertex_count
     pytest.param(
         ["verify", "g.col", "c.json"],
-        {"g.col": "c kneser n=1 k=0\n" + _TWO_VERTEX_GRAPH,
-         "c.json": _certificate(params={"n": 2, "k": 0})},
+        {"g.col": dimacs_dumps(build_graph(KneserParams(1, 4))),
+         "c.json": _certificate(params={"n": 2, "k": 0}, vertex_count=6,
+                                colors=list(range(6)))},
         "error: certificate and graph disagree on Kneser parameters",
         id="verify-params",
     ),

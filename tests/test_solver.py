@@ -28,11 +28,13 @@ from bkneser import (
 from oracles import (
     adjacency_sets,
     naive_feasible_k,
+    naive_is_proper,
     naive_phi,
     reference_search_with_seeds,
 )
 from bkneser.reproduce import erdos_renyi_graph
 from bkneser.formats import certificate_from_dict
+from bkneser import solver
 from bkneser.solver import (
     _CLOCK_EVERY,
     _BudgetTracker,
@@ -41,7 +43,7 @@ from bkneser.solver import (
     _propagate_root,
     _search_with_seeds,
     _seed_tuples,
-    _seeded_greedy,
+    _seeded_proper,
     _StopSearch,
     phi_upper_bound,
 )
@@ -288,7 +290,7 @@ class TestPinnedOutputs:
     def test_exact_kg62(self, kg62):
         result = exact_phi(kg62)
         assert (result.phi, result.infeasible_at) == (6, (7,))
-        assert result.stats.nodes_explored == 292
+        assert result.stats.nodes_explored == 284
         assert result.certificate.colors == _digits("012322141300554")
 
     def test_exact_kg72_within_30000_nodes(self):
@@ -497,7 +499,7 @@ class TestExactPhi:
         with pytest.raises(BudgetExceeded):
             exact_phi(petersen, budget=Budget(time_limit=0.0))
 
-    # KG(7,3): the heuristic's seeded phase lifts 3 colors to 5; KG(14,2);
+    # KG(7,3): a seeded candidate lifts 3 colors to 4; KG(14,2);
     # KG(8,2), whose seed tuples come from the orbit table
     @pytest.mark.parametrize(
         "params", [KneserParams(3, 1), KneserParams(2, 10), KneserParams(2, 4)]
@@ -557,22 +559,54 @@ class TestHeuristic:
         assert result.phi == 1
         assert is_b_coloring(g, result.certificate).valid
 
-    # (steps from phi_upper_bound, steps from degree_bound): phase 2 of
-    # KG(12,2) skips the 16 attempts at k = 46..31, of KG(14,2) the 28 at 67..40
+    # (steps from phi_upper_bound, steps from degree_bound): the seeded
+    # candidates of KG(12,2) skip k = 46..31, those of KG(14,2) k = 67..40
     @pytest.mark.parametrize(
         "params,steps",
-        [(KneserParams(2, 8), (291, 1_744)), (KneserParams(2, 10), (424, 3_735))],
+        [(KneserParams(2, 8), (291, 663)), (KneserParams(2, 10), (424, 1_119))],
     )
-    def test_phase_two_starts_at_the_upper_bound(self, params, steps):
+    def test_phase_two_starts_at_the_upper_bound(self, params, steps, monkeypatch):
         g = build_graph(params)
         result = heuristic_b_coloring(g)
         assert result.stats.nodes_explored == steps[0]
-        # every attempt above the bound fails, so starting there changes no
-        # certificate: it only saves their steps
-        skipped = [0]
-        for k in range(degree_bound(g), phi_upper_bound(g), -1):
-            assert _seeded_greedy(g, k, skipped) is None
-        assert steps[0] + skipped[0] == steps[1]
+        # no candidate above the bound keeps more colors than the result, so
+        # starting there changes no certificate: it only saves their steps
+        monkeypatch.setattr(solver, "phi_upper_bound", degree_bound)
+        from_degree_bound = heuristic_b_coloring(g)
+        assert from_degree_bound.certificate == result.certificate
+        assert from_degree_bound.stats.nodes_explored == steps[1]
+
+    # KG(9,3) and KG(10,3): the seeded candidates' elimination certifies 9
+    # and 12 colors, where the largest-first coloring's gives 5 and 6
+    @pytest.mark.parametrize(
+        "params,colors", [(KneserParams(3, 3), 9), (KneserParams(3, 4), 12)]
+    )
+    def test_seeded_candidates_on_kneser_graphs(self, params, colors):
+        g = build_graph(params)
+        result = heuristic_b_coloring(g)
+        assert result.phi >= colors
+        assert is_b_coloring(g, result.certificate).valid
+
+    def test_budget_bracket_kg93_starts_from_the_heuristic(self):
+        g = build_graph(KneserParams(3, 3))
+        with pytest.raises(BudgetExceeded) as info:
+            exact_phi(g, budget=Budget(max_nodes=30_000))
+        assert info.value.lower_bound == 9
+        assert is_b_coloring(g, info.value.certificate).valid
+
+    def test_elimination_stops_on_a_past_deadline(self):
+        g = build_graph(KneserParams(2, 2))
+        colors = _greedy_proper(g, [0])
+        assert _eliminate_undominated(g, colors, [0], time.monotonic() - 1) is None
+        assert is_b_coloring(g, _eliminate_undominated(g, colors, [0])).valid
+
+    def test_seeded_candidate_is_proper(self):
+        g = build_graph(KneserParams(3, 3))  # KG(9,3)
+        for k in range(phi_upper_bound(g), 1, -1):
+            colors = _seeded_proper(g, k, [0])
+            if colors is not None:
+                assert naive_is_proper(adjacency_sets(g), colors)
+                assert max(colors) == k - 1
 
     def test_deadline_cuts_an_attempt_short(self):
         g = build_graph(KneserParams(4, 8))  # KG(16,4); one attempt takes seconds
