@@ -3,11 +3,14 @@ structure-analysis reports, and exact-rational rendering.
 
 Field names and orders are frozen in docs/SCHEMAS.md; graph files tagged with
 Kneser parameters are re-derived from those parameters on load and the stored
-edge list must match exactly. Graph files are read once, line by line, by one
-loop that `load_graph` and `dimacs_loads` share: memory grows with the graph,
-not with the file. A rational renders as `p/q` beside its exact value rounded
-half-even to six places. The scan CSV's columns are `scan_row_dict`'s keys; a
-rational's key takes two, `<key>` holding `p/q` and `<key>_decimal`.
+edge list must match exactly. `load_graph` and `dimacs_loads` share one
+reader: a tagged file holding exactly the text `gen` writes is accepted by
+comparison with that text, piece by piece; any other file is read by one line
+loop, after a rewind if the comparison began. So a file is read at most twice,
+and memory grows with the graph, not with the file. A rational renders as
+`p/q` beside its exact value rounded half-even to six places. The scan CSV's
+columns are `scan_row_dict`'s keys; a rational's key takes two, `<key>`
+holding `p/q` and `<key>_decimal`.
 """
 
 from __future__ import annotations
@@ -18,14 +21,24 @@ import re
 from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from itertools import compress
+from typing import Any, Iterable, Iterator, TextIO
 
 from .bcoloring import Coloring, ProofAnalysis
 from .bounds import BoundsReport
-from .kneser import Graph, KneserParams, bit_indices, build_graph
+from .kneser import (
+    DEFAULT_ENUMERATION_CAP,
+    Graph,
+    KneserParams,
+    bit_indices,
+    build_graph,
+)
 
 _KNESER_COMMENT = re.compile(r"^c\s+kneser\s+n=(\d+)\s+k=(\d+)\s*$")
 _PROBLEM_LINE = re.compile(r"^p\s+edge\s+(\d+)\s+(\d+)$")
+# the first two lines exactly as `dimacs_dumps` writes them
+_CANONICAL_TAG = re.compile(r"c kneser n=([1-9][0-9]*) k=(0|[1-9][0-9]*)\n")
+_CANONICAL_PROBLEM = re.compile(r"p edge (0|[1-9][0-9]*) (0|[1-9][0-9]*)\n")
 
 
 def fraction_str(f: Fraction) -> str:
@@ -50,14 +63,26 @@ def fraction_json(f: Fraction) -> dict[str, str]:
 # graphs
 
 
+# bytes.translate table turning a reversed `bin` string into 0/1 selectors
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def _dimacs_pieces(graph: Graph) -> Iterator[str]:
     if graph.params is not None:
         yield f"c kneser n={graph.params.n} k={graph.params.k}\n"
     yield f"p edge {graph.vertex_count} {graph.edge_count}\n"
-    # one piece per vertex v: its edges to higher neighbors, as in edges()
+    # one piece per vertex v with a higher neighbor: its edge lines in
+    # ascending order, the labels past v selected by the bits of m >> (v + 1).
+    # The slice ends at the highest neighbor, so a sparse graph costs no more
+    # per vertex than its neighbors' span
+    labels = [f"{u + 1}\n" for u in range(graph.vertex_count)]
     for v, m in enumerate(graph.masks):
-        head = f"e {v + 1} "
-        yield "".join([f"{head}{v + 2 + u}\n" for u in bit_indices(m >> (v + 1))])
+        higher = m >> (v + 1)
+        if higher:
+            head = f"e {v + 1} "
+            bits = bin(higher)[:1:-1].encode().translate(_BITS)
+            above = labels[v + 1 : v + 1 + len(bits)]
+            yield head + head.join(compress(above, bits))
 
 
 def dimacs_dumps(graph: Graph) -> str:
@@ -65,12 +90,64 @@ def dimacs_dumps(graph: Graph) -> str:
 
 
 def dimacs_loads(text: str) -> Graph:
-    """Parse DIMACS text with the line loop `load_graph` uses; CRLF and bare
-    CR line endings read as LF."""
+    """Parse DIMACS text as `load_graph` parses a file; CRLF and bare CR line
+    endings read as LF."""
     return _dimacs_read(io.StringIO(text, newline=None))
 
 
+def _kneser_counts_are(params: KneserParams, vertices: int, edges: int) -> bool:
+    """Whether KG(2n+k, n) has these vertex and edge counts. A huge tag fails
+    without its vertex count being computed."""
+    return (
+        _binomial_is(params.ground_size, params.n, vertices)
+        and 2 * edges == vertices * params.degree
+    )
+
+
+def _canonical_graph(stream: TextIO) -> Graph | None:
+    """The tagged Kneser graph when the rest of the stream is exactly the text
+    `dimacs_dumps` writes for it, else None. Nothing is built until the `p`
+    line agrees with the tag; the text is then compared one writer piece at a
+    time, so it is never held whole."""
+    tag = _CANONICAL_TAG.fullmatch(stream.readline())
+    if tag is None:
+        return None
+    params = KneserParams(int(tag[1]), int(tag[2]))
+    problem = _CANONICAL_PROBLEM.fullmatch(stream.readline())
+    if problem is None:
+        return None
+    vertices, edges = int(problem[1]), int(problem[2])
+    if vertices > DEFAULT_ENUMERATION_CAP or not _kneser_counts_are(
+        params, vertices, edges
+    ):
+        return None
+    graph = build_graph(params)
+    pieces = _dimacs_pieces(graph)
+    next(pieces), next(pieces)  # the tag and `p` lines, matched above
+    for piece in pieces:
+        if stream.read(len(piece)) != piece:
+            return None
+    return graph if stream.read(1) == "" else None
+
+
 def _dimacs_read(lines: Iterable[str]) -> Graph:
+    """Parse a DIMACS edge file. A seekable stream holding exactly the text
+    `gen` writes for its `c kneser` tag is accepted by comparison with that
+    text. Any other stream is read by the line loop, which alone decides what
+    is accepted and how it is rejected; a seekable one is rewound first, after
+    a mismatch or a decode error in the comparison."""
+    if isinstance(lines, io.TextIOBase) and lines.seekable():
+        try:
+            graph = _canonical_graph(lines)
+        except ValueError:  # a decode error, or a count too long for int()
+            graph = None
+        if graph is not None:
+            return graph
+        lines.seek(0)
+    return _dimacs_read_lines(lines)
+
+
+def _dimacs_read_lines(lines: Iterable[str]) -> Graph:
     """Parse a DIMACS edge file in one pass over its lines, folding each edge
     into per-vertex masks as it is read; the one `p` line may come anywhere.
     No line is kept, so memory grows with the graph, not with the file. An
@@ -146,8 +223,12 @@ def _dimacs_read(lines: Iterable[str]) -> Graph:
             f"{graph.edge_count} distinct edges"
         )
     if params is not None:
-        expected = build_graph(params)
-        if expected.masks != graph.masks:
+        # a tag that disagrees with the p line is rejected before its graph
+        # is built
+        expected = None
+        if _kneser_counts_are(params, *declared):
+            expected = build_graph(params)
+        if expected is None or expected.masks != graph.masks:
             raise ValueError(
                 f"edge list does not match kneser n={params.n} k={params.k}"
             )
@@ -161,8 +242,8 @@ def write_graph(path: str | Path, graph: Graph) -> None:
 
 
 def load_graph(path: str | Path) -> Graph:
-    """Read a DIMACS file once, line by line, with universal newlines; the
-    file is never held whole in memory."""
+    """Read a DIMACS file with universal newlines, at most twice; the file is
+    never held whole in memory."""
     with Path(path).open() as lines:
         return _dimacs_read(lines)
 

@@ -117,6 +117,17 @@ def kneser_edges(vertices: list[frozenset[int]]) -> set[tuple[int, int]]:
     }
 
 
+def naive_dimacs(graph) -> str:
+    """The DIMACS text `gen` writes: one f-string per edge over the sorted
+    edge list, each edge as (lower, higher) endpoint, 1-indexed."""
+    adj = adjacency_sets(graph)
+    edges = sorted((u, v) for u in range(len(adj)) for v in adj[u] if u < v)
+    params = graph.params
+    tag = "" if params is None else f"c kneser n={params.n} k={params.k}\n"
+    lines = [f"e {u + 1} {v + 1}\n" for u, v in edges]
+    return tag + f"p edge {len(adj)} {len(edges)}\n" + "".join(lines)
+
+
 def point_signatures(family, ground: int) -> list[tuple]:
     """Per point: how many subsets hold it, and for each of those subsets
     the sorted counts of its other points. A permutation mapping one family

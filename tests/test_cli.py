@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import random
@@ -5,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
@@ -13,8 +15,10 @@ from pathlib import Path
 import pytest
 
 from bkneser import Coloring, Graph, KneserParams, build_graph, heuristic_b_coloring
+from bkneser import formats
 from bkneser.cli import main
 from bkneser.formats import (
+    _dimacs_read,
     certificate_dict,
     dimacs_dumps,
     dimacs_loads,
@@ -24,6 +28,7 @@ from bkneser.formats import (
     write_graph,
 )
 from bkneser.solver import _eliminate_undominated, _greedy_proper
+from oracles import naive_dimacs
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET = 0, 1, 2, 3
 
@@ -155,6 +160,231 @@ class TestFormats:
         assert loaded == cert
         assert params == KneserParams(2, 0)
         assert claimed
+
+
+def _outcome(read, source):
+    """What a reader makes of a source: the graph's masks, params and
+    subsets, or the type and message of what it raised."""
+    try:
+        graph = read(source)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return graph.masks, graph.params, graph.subsets
+
+
+def _line_loop(text):
+    """`_dimacs_read` on the lines of `text` as a file would give them, from a
+    stream that cannot seek, so that only the line loop reads them."""
+    return _dimacs_read(line for line in io.StringIO(text, newline=None))
+
+
+def _reverse_line(line):
+    e, u, v = line.split()
+    return f"{e} {v} {u}\n"
+
+
+# single edits of the canonical KG(7,2) text, whose lines run "c kneser n=2
+# k=3", "p edge 21 105", "e 1 6", "e 1 9", "e 1 10", ...; each with the
+# message the line loop rejects the result with, or None where it accepts it
+_KG72_EDITS = {
+    "unchanged": (lambda text: text, None),
+    "drop-edge": (
+        lambda text: text.replace("\ne 1 9\n", "\n", 1),
+        "edge count mismatch: declared 105, found 104",
+    ),
+    "repeat-edge": (
+        lambda text: text.replace("\ne 1 9\n", "\ne 1 9\ne 1 9\n", 1),
+        "repeated edge: 106 edge lines name 105 distinct edges",
+    ),
+    "swap-edges": (
+        lambda text: text.replace("\ne 1 9\ne 1 10\n", "\ne 1 10\ne 1 9\n", 1),
+        None,
+    ),
+    "swap-header": (
+        lambda text: text.replace(
+            "c kneser n=2 k=3\np edge 21 105\n", "p edge 21 105\nc kneser n=2 k=3\n", 1
+        ),
+        None,
+    ),
+    "reversed-edge": (lambda text: text.replace("\ne 1 9\n", "\ne 9 1\n", 1), None),
+    "leading-zero": (lambda text: text.replace("\ne 1 9\n", "\ne 01 9\n", 1), None),
+    "crlf": (lambda text: text.replace("\n", "\r\n"), None),
+    "trailing-blank": (lambda text: text + "\n", None),
+    "trailing-comment": (lambda text: text + "c end\n", None),
+    "trailing-edge": (
+        lambda text: text + "e 1 2\n",
+        "edge count mismatch: declared 105, found 106",
+    ),
+    "no-final-newline": (lambda text: text[:-1], None),
+    "tag-n0": (
+        lambda text: text.replace("n=2 ", "n=0 ", 1),
+        "n must be a positive integer",
+    ),
+    "tag-leading-zero": (lambda text: text.replace("k=3", "k=03", 1), None),
+    "p-disagrees": (
+        lambda text: text.replace("p edge 21 105", "p edge 21 104", 1),
+        "edge count mismatch: declared 104, found 105",
+    ),
+}
+
+
+class TestDimacsWriter:
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            Graph([]),
+            Graph.from_edges(1, []),
+            Graph.from_edges(4, []),
+            # isolated vertices 0, 2 and 5; vertex 4 has no higher neighbour
+            Graph.from_edges(6, [(1, 3), (3, 4), (1, 4)]),
+            # only the last vertex has no higher neighbour
+            Graph.from_edges(3, [(0, 1), (1, 2)]),
+            build_graph(KneserParams(2, 1)),
+            build_graph(KneserParams(3, 2)),
+            build_graph(KneserParams(1, 4)),
+        ],
+        ids=[
+            "no-vertices",
+            "one-vertex",
+            "no-edges",
+            "isolated",
+            "path",
+            "kg52",
+            "kg83",
+            "k6",
+        ],
+    )
+    def test_dumps_equals_the_naive_writer(self, graph):
+        assert dimacs_dumps(graph) == naive_dimacs(graph)
+
+    def test_dumps_equals_the_naive_writer_on_random_graphs(self):
+        rng = random.Random(17)
+        for _ in range(60):
+            size = rng.randrange(0, 70)
+            p = rng.random()
+            edges = [
+                (u, v)
+                for u in range(size)
+                for v in range(u + 1, size)
+                if rng.random() < p
+            ]
+            graph = Graph.from_edges(size, edges)
+            assert dimacs_dumps(graph) == naive_dimacs(graph), (size, p)
+
+
+class TestDimacsReader:
+    @pytest.mark.parametrize("edit", list(_KG72_EDITS))
+    def test_single_edits_read_as_the_line_loop_reads_them(self, tmp_path, edit):
+        graph = build_graph(KneserParams(2, 3))
+        change, expected = _KG72_EDITS[edit]
+        text = change(dimacs_dumps(graph))
+        assert text != dimacs_dumps(graph) or edit == "unchanged"
+        reference = _outcome(_line_loop, text)
+        if expected is None:
+            assert reference == (graph.masks, graph.params, graph.subsets)
+        else:
+            assert reference == (ValueError, expected)
+        assert _outcome(dimacs_loads, text) == reference
+        assert _outcome(load_graph, _graph_file(tmp_path, text)) == reference
+
+    @pytest.mark.parametrize(
+        "n,k,at",
+        [(2, 3, 0.5), (4, 4, 0.9)],
+        ids=["kg72", "kg124-past-the-first-chunk"],
+    )
+    def test_bad_byte_fails_as_in_the_line_loop(self, tmp_path, n, k, at):
+        # files are read in the locale's encoding; UTF-8 mode pins it here.
+        # In KG(12,4) the byte lies past the first chunk a text file decodes,
+        # so the comparison has begun before it meets the byte
+        data = bytearray(dimacs_dumps(build_graph(KneserParams(n, k))).encode())
+        digit = data.index(b"e ", int(len(data) * at)) + 2
+        data[digit] = 0xFF
+        path = tmp_path / "g.col"
+        path.write_bytes(data)
+        script = (
+            "import json, sys\n"
+            "from bkneser.formats import _dimacs_read, load_graph\n"
+            "def outcome(read):\n"
+            "    try:\n"
+            "        return read().masks\n"
+            "    except Exception as exc:\n"
+            "        return [type(exc).__name__, str(exc)]\n"
+            "with open(sys.argv[1]) as lines:\n"
+            "    loop = outcome(lambda: _dimacs_read(line for line in lines))\n"
+            "print(json.dumps([outcome(lambda: load_graph(sys.argv[1])), loop]))\n"
+        )
+        env = dict(os.environ, PYTHONUTF8="1", PYTHONPATH=SRC)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded, loop = json.loads(proc.stdout)
+        assert loop[0] == "UnicodeDecodeError"
+        assert "can't decode byte 0xff" in loop[1]
+        assert loaded == loop
+
+    def test_tag_disagreeing_with_the_p_line_builds_nothing(self, tmp_path):
+        # KG(23,5) would take 0.5 s and over 150 MB to build
+        text = "c kneser n=5 k=13\np edge 1 0\n"
+        path = _graph_file(tmp_path, text)
+        for read, source in ((dimacs_loads, text), (load_graph, path)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(
+                    ValueError, match="^edge list does not match kneser n=5 k=13$"
+                ):
+                    read(source)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000, peak
+
+    def test_canonical_text_skips_the_line_loop(self, tmp_path, monkeypatch):
+        graph = build_graph(KneserParams(2, 3))
+        text = dimacs_dumps(graph)
+        path = _graph_file(tmp_path, text)
+
+        def no_line_loop(lines):
+            raise AssertionError("the line loop read a canonical file")
+
+        monkeypatch.setattr(formats, "_dimacs_read_lines", no_line_loop)
+        for read, source in ((dimacs_loads, text), (load_graph, path)):
+            assert _outcome(read, source) == (graph.masks, graph.params, graph.subsets)
+
+    @pytest.mark.parametrize("edit", ["unchanged", "reversed-edge"])
+    def test_tagged_file_loads_through_a_pipe(self, tmp_path, edit):
+        # a pipe cannot seek, so the line loop reads it from the start
+        graph = build_graph(KneserParams(2, 3))
+        pipe = tmp_path / "g.pipe"
+        os.mkfifo(pipe)
+        text = _KG72_EDITS[edit][0](dimacs_dumps(graph))
+        writer = threading.Thread(target=pipe.write_text, args=(text,), daemon=True)
+        writer.start()
+        loaded = load_graph(pipe)
+        writer.join(timeout=60)
+        assert not writer.is_alive()
+        assert (loaded.masks, loaded.params) == (graph.masks, graph.params)
+
+    def test_line_loop_streams(self, tmp_path):
+        # KG(12,4) with every edge line written `e v u`: the comparison stops
+        # at the first edge line and the line loop reads the whole file,
+        # within the bound of test_load_graph_streams
+        graph = build_graph(KneserParams(4, 4))
+        text = "".join(
+            _reverse_line(line) if line.startswith("e ") else line
+            for line in dimacs_dumps(graph).splitlines(keepends=True)
+        )
+        path = _graph_file(tmp_path, text)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            loaded = load_graph(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.masks == graph.masks
+        assert peak < 2 * size, (peak, size)
 
 
 class TestGen:
