@@ -104,30 +104,44 @@ def _kneser_counts_are(params: KneserParams, vertices: int, edges: int) -> bool:
     )
 
 
-def _canonical_graph(stream: TextIO) -> Graph | None:
-    """The tagged Kneser graph when the rest of the stream is exactly the text
-    `dimacs_dumps` writes for it, else None. Nothing is built until the `p`
-    line agrees with the tag; the text is then compared one writer piece at a
-    time, so it is never held whole."""
-    tag = _CANONICAL_TAG.fullmatch(stream.readline())
+def _tagged_graph(stream: TextIO, size: int) -> Graph | None:
+    """The graph of the stream's `c kneser` tag when its first two lines are
+    exactly the two `dimacs_dumps` writes for that graph, else None. The
+    stream holds at most `size` characters. Nothing is built unless the `p`
+    line agrees with the tag and the rest of the stream is long enough to hold
+    the graph's edge lines, so what the build costs is bounded by the
+    stream's length, not by the tag alone."""
+    tag_line = stream.readline()
+    tag = _CANONICAL_TAG.fullmatch(tag_line)
     if tag is None:
         return None
     params = KneserParams(int(tag[1]), int(tag[2]))
-    problem = _CANONICAL_PROBLEM.fullmatch(stream.readline())
+    problem_line = stream.readline()
+    problem = _CANONICAL_PROBLEM.fullmatch(problem_line)
     if problem is None:
         return None
     vertices, edges = int(problem[1]), int(problem[2])
-    if vertices > DEFAULT_ENUMERATION_CAP or not _kneser_counts_are(
-        params, vertices, edges
+    rest = size - len(tag_line) - len(problem_line)
+    # each edge line `e <u> <v>\n` has at least 6 characters
+    if (
+        vertices > DEFAULT_ENUMERATION_CAP
+        or rest < 6 * edges
+        or not _kneser_counts_are(params, vertices, edges)
     ):
         return None
-    graph = build_graph(params)
+    return build_graph(params)
+
+
+def _holds_edges_of(stream: TextIO, graph: Graph) -> bool:
+    """Whether the rest of the stream is exactly the edge lines `dimacs_dumps`
+    writes for the graph. They are compared one writer piece at a time, so
+    the text is never held whole."""
     pieces = _dimacs_pieces(graph)
-    next(pieces), next(pieces)  # the tag and `p` lines, matched above
+    next(pieces), next(pieces)  # the tag and `p` lines
     for piece in pieces:
         if stream.read(len(piece)) != piece:
-            return None
-    return graph if stream.read(1) == "" else None
+            return False
+    return stream.read(1) == ""
 
 
 def _dimacs_read(lines: Iterable[str]) -> Graph:
@@ -135,25 +149,33 @@ def _dimacs_read(lines: Iterable[str]) -> Graph:
     `gen` writes for its `c kneser` tag is accepted by comparison with that
     text. Any other stream is read by the line loop, which alone decides what
     is accepted and how it is rejected; a seekable one is rewound first, after
-    a mismatch or a decode error in the comparison."""
+    a mismatch or a decode error in the comparison, and a graph the
+    comparison built is handed on so that it is not built twice."""
+    built = None
     if isinstance(lines, io.TextIOBase) and lines.seekable():
-        try:
-            graph = _canonical_graph(lines)
-        except ValueError:  # a decode error, or a count too long for int()
-            graph = None
-        if graph is not None:
-            return graph
+        # no fewer than the characters it holds: a file's size in bytes, or
+        # a StringIO's length. It only decides whether the comparison is
+        # tried, never what is accepted
+        size = lines.seek(0, io.SEEK_END)
         lines.seek(0)
-    return _dimacs_read_lines(lines)
+        try:
+            built = _tagged_graph(lines, size)
+            if built is not None and _holds_edges_of(lines, built):
+                return built
+        except ValueError:  # a decode error, or a count too long for int()
+            pass
+        lines.seek(0)
+    return _dimacs_read_lines(lines, built)
 
 
-def _dimacs_read_lines(lines: Iterable[str]) -> Graph:
+def _dimacs_read_lines(lines: Iterable[str], built: Graph | None = None) -> Graph:
     """Parse a DIMACS edge file in one pass over its lines, folding each edge
     into per-vertex masks as it is read; the one `p` line may come anywhere.
     No line is kept, so memory grows with the graph, not with the file. An
     edge past the vertex count is only remembered through `top`. A file
     tagged with Kneser parameters must hold exactly the edges those
-    parameters build."""
+    parameters build; `built`, when given, is a graph already built for some
+    tag and stands in for building it again."""
     declared: tuple[int, int] | None = None
     params: KneserParams | None = None
     masks: list[int] = []
@@ -227,7 +249,10 @@ def _dimacs_read_lines(lines: Iterable[str]) -> Graph:
         # is built
         expected = None
         if _kneser_counts_are(params, *declared):
-            expected = build_graph(params)
+            if built is not None and built.params == params:
+                expected = built
+            else:
+                expected = build_graph(params)
         if expected is None or expected.masks != graph.masks:
             raise ValueError(
                 f"edge list does not match kneser n={params.n} k={params.k}"

@@ -340,6 +340,46 @@ class TestDimacsReader:
                 tracemalloc.stop()
             assert peak < 1_000_000, peak
 
+    def test_short_file_whose_p_line_agrees_with_its_tag_builds_nothing(
+        self, tmp_path
+    ):
+        # the p line holds KG(23,5)'s counts, but no edge line follows: the
+        # comparison is not tried, and the line loop rejects the file on its
+        # edge count, as it would with no fast path
+        text = "c kneser n=5 k=13\np edge 33649 144152316\n"
+        path = _graph_file(tmp_path, text)
+        for read, source in ((dimacs_loads, text), (load_graph, path)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(
+                    ValueError,
+                    match="^edge count mismatch: declared 144152316, found 0$",
+                ):
+                    read(source)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000, peak
+
+    @pytest.mark.parametrize("edit", ["unchanged", "reversed-edge", "trailing-edge"])
+    def test_tagged_graph_is_built_once(self, tmp_path, monkeypatch, edit):
+        # a file that stops matching hands the comparison's graph on to the
+        # line loop, which does not build it again
+        text = _KG72_EDITS[edit][0](dimacs_dumps(build_graph(KneserParams(2, 3))))
+        path = _graph_file(tmp_path, text)
+        calls = []
+
+        def counted_build_graph(params):
+            calls.append(params)
+            return build_graph(params)
+
+        reference = _outcome(_line_loop, text)
+        monkeypatch.setattr(formats, "build_graph", counted_build_graph)
+        for read, source in ((dimacs_loads, text), (load_graph, path)):
+            calls.clear()
+            assert _outcome(read, source) == reference
+            assert calls == [KneserParams(2, 3)]
+
     def test_canonical_text_skips_the_line_loop(self, tmp_path, monkeypatch):
         graph = build_graph(KneserParams(2, 3))
         text = dimacs_dumps(graph)
@@ -947,6 +987,12 @@ _MALFORMED_INPUTS = [
     _bad_graph(
         "negative-edges", "solve", "p edge 2 -1\n",
         "malformed problem line: 'p edge 2 -1'",
+    ),
+    # a tag over the enumeration cap whose p line disagrees with it is
+    # rejected on that disagreement, before the cap is reached
+    _bad_graph(
+        "tag-over-cap-disagrees", "solve", "c kneser n=13 k=0\np edge 1 0\n",
+        "edge list does not match kneser n=13 k=0",
     ),
     _bad_graph(
         "repeated-edge", "solve", "p edge 2 1\ne 1 2\ne 2 1\n",
