@@ -6,11 +6,12 @@ Kneser parameters are re-derived from those parameters on load and the stored
 edge list must match exactly. `load_graph` and `dimacs_loads` share one
 reader: a tagged file holding exactly the text `gen` writes is accepted by
 comparison with that text, piece by piece; any other file is read by one line
-loop, after a rewind if the comparison began. So a file is read at most twice,
-and memory grows with the graph, not with the file. A rational renders as
-`p/q` beside its exact value rounded half-even to six places. The scan CSV's
-columns are `scan_row_dict`'s keys; a rational's key takes two, `<key>`
-holding `p/q` and `<key>_decimal`.
+loop, after a rewind if the comparison began. That loop needs the `p` line
+before the first edge line and at most the enumeration cap's vertices there.
+So a file is read at most twice, and memory grows with the graph, not with
+the file. A rational renders as `p/q` beside its exact value rounded
+half-even to six places. The scan CSV's columns are `scan_row_dict`'s keys;
+a rational's key takes two, `<key>` holding `p/q` and `<key>_decimal`.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .kneser import (
     KneserParams,
     bit_indices,
     build_graph,
+    check_enumeration_cap,
 )
 
 _KNESER_COMMENT = re.compile(r"^c\s+kneser\s+n=(\d+)\s+k=(\d+)\s*$")
@@ -148,10 +150,8 @@ def _dimacs_read(lines: Iterable[str]) -> Graph:
     """Parse a DIMACS edge file. A seekable stream holding exactly the text
     `gen` writes for its `c kneser` tag is accepted by comparison with that
     text. Any other stream is read by the line loop, which alone decides what
-    is accepted and how it is rejected; a seekable one is rewound first, after
-    a mismatch or a decode error in the comparison, and a graph the
-    comparison built is handed on so that it is not built twice."""
-    built = None
+    is accepted and how it is rejected; a seekable one is rewound first,
+    after a mismatch or a decode error in the comparison."""
     if isinstance(lines, io.TextIOBase) and lines.seekable():
         # no fewer than the characters it holds: a file's size in bytes, or
         # a StringIO's length. It only decides whether the comparison is
@@ -165,42 +165,39 @@ def _dimacs_read(lines: Iterable[str]) -> Graph:
         except ValueError:  # a decode error, or a count too long for int()
             pass
         lines.seek(0)
-    return _dimacs_read_lines(lines, built)
+    return _dimacs_read_lines(lines)
 
 
-def _dimacs_read_lines(lines: Iterable[str], built: Graph | None = None) -> Graph:
-    """Parse a DIMACS edge file in one pass over its lines, folding each edge
-    into per-vertex masks as it is read; the one `p` line may come anywhere.
-    No line is kept, so memory grows with the graph, not with the file. An
-    edge past the vertex count is only remembered through `top`. A file
-    tagged with Kneser parameters must hold exactly the edges those
-    parameters build; `built`, when given, is a graph already built for some
-    tag and stands in for building it again."""
-    declared: tuple[int, int] | None = None
+def _dimacs_read_lines(lines: Iterable[str]) -> Graph:
+    """Parse a DIMACS edge file in one pass over its lines. The one `p` line
+    comes before the first edge line, declares at most the enumeration cap's
+    vertices, and bounds every endpoint; each edge is folded into per-vertex
+    masks as it is read. No line is kept, so memory grows with the graph,
+    not with the file. A file tagged with Kneser parameters must hold
+    exactly the edges those parameters build."""
+    vertices: int | None = None
+    edges = 0
     params: KneserParams | None = None
     masks: list[int] = []
-    size = 0  # len(masks)
-    # edges read before the p line
-    unplaced: list[tuple[int, int]] = []
-    top = -1
     edge_lines = 0
     for line in lines:
         parts = line.split()
         if len(parts) == 3 and parts[0] == "e":
+            if vertices is None:
+                raise ValueError(
+                    f"edge line before the 'p edge' header: {line.strip()!r}"
+                )
             try:
                 u, v = int(parts[1]), int(parts[2])
             except ValueError:
                 raise ValueError(f"malformed edge line: {line.strip()!r}") from None
             if u == v or u < 1 or v < 1:
                 raise ValueError(f"invalid edge {u} {v}")
-            u, v = (u - 1, v - 1) if u < v else (v - 1, u - 1)
-            if v > top:
-                top = v
-            if v < size:
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
-            elif declared is None:
-                unplaced.append((u, v))
+            if u > vertices or v > vertices:
+                bad = u if u > vertices else v
+                raise ValueError(f"edge endpoint {bad} exceeds vertex count")
+            masks[u - 1] |= 1 << (v - 1)
+            masks[v - 1] |= 1 << (u - 1)
             edge_lines += 1
             continue
         if not parts:
@@ -212,32 +209,25 @@ def _dimacs_read_lines(lines: Iterable[str], built: Graph | None = None) -> Grap
             if m:
                 params = KneserParams(int(m.group(1)), int(m.group(2)))
         elif first == "p":
-            if declared is not None:
+            if vertices is not None:
                 raise ValueError(f"repeated problem line: {line!r}")
             m = _PROBLEM_LINE.match(line)
             if not m:
                 raise ValueError(f"malformed problem line: {line!r}")
-            declared = (int(m.group(1)), int(m.group(2)))
-            size = declared[0]
-            masks = [0] * size
-            for u, v in unplaced:
-                if v < size:
-                    masks[u] |= 1 << v
-                    masks[v] |= 1 << u
-            unplaced = []
+            vertices, edges = int(m.group(1)), int(m.group(2))
+            check_enumeration_cap(vertices)
+            masks = [0] * vertices
         elif first == "e":
             # a wrong token count, or a first token such as `e1` or `edge`
             raise ValueError(f"malformed edge line: {line!r}")
         else:
             raise ValueError(f"unrecognized DIMACS line: {line!r}")
-    if declared is None:
+    if vertices is None:
         raise ValueError("missing 'p edge' header")
-    if top >= declared[0]:
-        raise ValueError(f"edge endpoint {top + 1} exceeds vertex count")
     graph = Graph(masks)
-    if graph.edge_count != declared[1]:
+    if graph.edge_count != edges:
         raise ValueError(
-            f"edge count mismatch: declared {declared[1]}, found {graph.edge_count}"
+            f"edge count mismatch: declared {edges}, found {graph.edge_count}"
         )
     if edge_lines != graph.edge_count:
         raise ValueError(
@@ -248,11 +238,8 @@ def _dimacs_read_lines(lines: Iterable[str], built: Graph | None = None) -> Grap
         # a tag that disagrees with the p line is rejected before its graph
         # is built
         expected = None
-        if _kneser_counts_are(params, *declared):
-            if built is not None and built.params == params:
-                expected = built
-            else:
-                expected = build_graph(params)
+        if _kneser_counts_are(params, vertices, edges):
+            expected = build_graph(params)
         if expected is None or expected.masks != graph.masks:
             raise ValueError(
                 f"edge list does not match kneser n={params.n} k={params.k}"

@@ -109,6 +109,15 @@ class Graph:
         return f"Graph(vertices={self.vertex_count}, edges={self.edge_count})"
 
 
+def check_enumeration_cap(vertex_count: int) -> None:
+    """Raise InstanceTooLarge for a graph of more vertices than the cap."""
+    if vertex_count > DEFAULT_ENUMERATION_CAP:
+        raise InstanceTooLarge(
+            f"instance too large: {vertex_count} vertices exceed the "
+            f"enumeration cap {DEFAULT_ENUMERATION_CAP}"
+        )
+
+
 def enumerate_vertices(params: KneserParams) -> list[int]:
     """All n-subsets of {1..2n+k} as int masks (element i at bit i-1), in
     increasing integer order.
@@ -116,11 +125,7 @@ def enumerate_vertices(params: KneserParams) -> list[int]:
     The order is colexicographic and deterministic; it defines the canonical
     vertex indexing used everywhere (files, certificates, solver output).
     """
-    if params.vertex_count > DEFAULT_ENUMERATION_CAP:
-        raise InstanceTooLarge(
-            f"instance too large: {params.vertex_count} vertices exceed the "
-            f"enumeration cap {DEFAULT_ENUMERATION_CAP}"
-        )
+    check_enumeration_cap(params.vertex_count)
     # Gosper's hack walks all popcount-n masks in increasing integer order.
     out = []
     x = (1 << params.n) - 1

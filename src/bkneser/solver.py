@@ -723,7 +723,12 @@ def _seeded_proper(
     largest-first vertices of degree >= k-1, each other vertex taking the
     color that most seed neighborhoods around it still miss. None when no
     such seeds exist, some vertex has no color left, or `deadline` passes,
-    checked once per vertex."""
+    checked once per vertex.
+
+    covered[c] is the union of the closed neighborhoods of class c's
+    members, which by symmetry holds exactly the vertices whose closed
+    neighborhood meets class c; so the seeds around v that still miss c are
+    those of N[v] outside covered[c]."""
     adj = graph.masks
     order = _largest_first(adj)
     seeds = [v for v in order if adj[v].bit_count() >= k - 1][:k]
@@ -731,9 +736,10 @@ def _seeded_proper(
         return None
     colors = [-1] * len(adj)
     classes = [1 << w for w in seeds]
+    covered = [adj[w] | (1 << w) for w in seeds]
+    seed_mask = sum(classes)
     for i, w in enumerate(seeds):
         colors[w] = i
-    seed_closed = [adj[w] | (1 << w) for w in seeds]
     for v in order:
         if colors[v] >= 0:
             continue
@@ -743,8 +749,10 @@ def _seeded_proper(
         avail = [c for c in range(k) if not adj[v] & classes[c]]
         if not avail:
             return None
-        near = [cw for cw in seed_closed if cw >> v & 1]
-        c = max(avail, key=lambda c: (sum(not cw & classes[c] for cw in near), -c))
+        closed = adj[v] | (1 << v)
+        near = closed & seed_mask
+        c = max(avail, key=lambda c: ((near & ~covered[c]).bit_count(), -c))
         colors[v] = c
         classes[c] |= 1 << v
+        covered[c] |= closed
     return colors

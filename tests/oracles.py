@@ -2,10 +2,14 @@
 
 Deliberately naive: plain sets and unpruned restricted-growth-string
 enumeration, sharing no code or data structures with the package under test.
-The one exception is `reference_search_with_seeds`, the exact search's kernel
-as it was before its per-vertex checks were hoisted out of the color loop and
-before it propagated forced witnesses at the root: it runs on the package's
-budget tracker, so that both kernels can be compared tuple for tuple.
+The exceptions are two earlier versions of package code. One is
+`reference_search_with_seeds`, the exact search's kernel as it was before its
+per-vertex checks were hoisted out of the color loop and before it propagated
+forced witnesses at the root: it runs on the package's budget tracker, so that
+both kernels can be compared tuple for tuple. The other is
+`reference_seeded_proper`, the heuristic's seeded coloring before it kept its
+covered seeds as masks: it uses the package's vertex order and clock check,
+so that both can be compared coloring for coloring and step for step.
 """
 
 from __future__ import annotations
@@ -15,7 +19,13 @@ from itertools import combinations
 from operator import or_
 
 from bkneser.kneser import bit_indices
-from bkneser.solver import _CLOCK_EVERY, _BudgetTracker, _expired, _StopSearch
+from bkneser.solver import (
+    _CLOCK_EVERY,
+    _BudgetTracker,
+    _expired,
+    _largest_first,
+    _StopSearch,
+)
 
 
 def adjacency_sets(graph) -> list[set[int]]:
@@ -255,3 +265,35 @@ def reference_search_with_seeds(
         for v in bit_indices(members):
             color[v] = c
     return color
+
+
+def reference_seeded_proper(
+    graph, k: int, steps: list[int], deadline: float | None = None
+) -> list[int] | None:
+    """`_seeded_proper` as it was before it kept a covered-seed mask per
+    color: it rescans every seed neighborhood around a vertex for each color
+    the vertex may take."""
+    adj = graph.masks
+    order = _largest_first(adj)
+    seeds = [v for v in order if adj[v].bit_count() >= k - 1][:k]
+    if len(seeds) < k:
+        return None
+    colors = [-1] * len(adj)
+    classes = [1 << w for w in seeds]
+    for i, w in enumerate(seeds):
+        colors[w] = i
+    seed_closed = [adj[w] | (1 << w) for w in seeds]
+    for v in order:
+        if colors[v] >= 0:
+            continue
+        if _expired(deadline):
+            return None
+        steps[0] += 1
+        avail = [c for c in range(k) if not adj[v] & classes[c]]
+        if not avail:
+            return None
+        near = [cw for cw in seed_closed if cw >> v & 1]
+        c = max(avail, key=lambda c: (sum(not cw & classes[c] for cw in near), -c))
+        colors[v] = c
+        classes[c] |= 1 << v
+    return colors

@@ -14,7 +14,14 @@ from pathlib import Path
 
 import pytest
 
-from bkneser import Coloring, Graph, KneserParams, build_graph, heuristic_b_coloring
+from bkneser import (
+    Coloring,
+    Graph,
+    InstanceTooLarge,
+    KneserParams,
+    build_graph,
+    heuristic_b_coloring,
+)
 from bkneser import formats
 from bkneser.cli import main
 from bkneser.formats import (
@@ -97,9 +104,9 @@ class TestFormats:
     @pytest.mark.parametrize(
         "text,message",
         [
-            # the largest out-of-range endpoint, ahead of the count mismatch
-            ("p edge 3 9\ne 1 4\ne 2 5\ne 1 2\n", "edge endpoint 5 exceeds vertex count"),
-            ("e 5 1\np edge 3 1\n", "edge endpoint 5 exceeds vertex count"),
+            # the first out-of-range endpoint, ahead of the count mismatch
+            ("p edge 3 9\ne 1 4\ne 2 5\ne 1 2\n", "edge endpoint 4 exceeds vertex count"),
+            ("e 5 1\np edge 3 1\n", "edge line before the 'p edge' header: 'e 5 1'"),
             ("p edge 3 2\ne 1 2\n", "edge count mismatch: declared 2, found 1"),
             ("p edge 3 2\ne 1 2\ne 2 1\n", "edge count mismatch: declared 2, found 1"),
             (
@@ -124,8 +131,39 @@ class TestFormats:
                 read(source)
 
     def test_dimacs_edges_before_problem_line(self, tmp_path):
-        g = _load_both(tmp_path, "e 2 3\nc note\ne 1 2\np edge 3 2\n")
-        assert g.masks == (0b010, 0b101, 0b010)
+        text = "e 2 3\nc note\ne 1 2\np edge 3 2\n"
+        expected = (ValueError, "edge line before the 'p edge' header: 'e 2 3'")
+        assert _outcome(dimacs_loads, text) == expected
+        assert _outcome(load_graph, _graph_file(tmp_path, text)) == expected
+
+    @pytest.mark.parametrize(
+        "text,error,message",
+        [
+            # 6 MB of edge lines that no p line precedes
+            (
+                "e 1 2\n" * 1_000_000 + "p edge 2 1\n",
+                ValueError,
+                "edge line before the 'p edge' header: 'e 1 2'",
+            ),
+            (
+                "p edge 1000001 0\n",
+                InstanceTooLarge,
+                "instance too large: 1000001 vertices exceed the enumeration cap "
+                "1000000",
+            ),
+        ],
+        ids=["edges-first", "vertices-over-cap"],
+    )
+    def test_dimacs_rejects_before_growing(self, tmp_path, text, error, message):
+        path = _graph_file(tmp_path, text)
+        tracemalloc.start()
+        try:
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                load_graph(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     def test_dimacs_line_endings(self, tmp_path, petersen, newline):
@@ -363,8 +401,8 @@ class TestDimacsReader:
 
     @pytest.mark.parametrize("edit", ["unchanged", "reversed-edge", "trailing-edge"])
     def test_tagged_graph_is_built_once(self, tmp_path, monkeypatch, edit):
-        # a file that stops matching hands the comparison's graph on to the
-        # line loop, which does not build it again
+        # canonical text is accepted on the comparison's one build; a file
+        # that stops matching is read by the line loop, as it reads it alone
         text = _KG72_EDITS[edit][0](dimacs_dumps(build_graph(KneserParams(2, 3))))
         path = _graph_file(tmp_path, text)
         calls = []
@@ -378,7 +416,8 @@ class TestDimacsReader:
         for read, source in ((dimacs_loads, text), (load_graph, path)):
             calls.clear()
             assert _outcome(read, source) == reference
-            assert calls == [KneserParams(2, 3)]
+            if edit == "unchanged":
+                assert calls == [KneserParams(2, 3)]
 
     def test_canonical_text_skips_the_line_loop(self, tmp_path, monkeypatch):
         graph = build_graph(KneserParams(2, 3))
@@ -993,6 +1032,10 @@ _MALFORMED_INPUTS = [
     _bad_graph(
         "tag-over-cap-disagrees", "solve", "c kneser n=13 k=0\np edge 1 0\n",
         "edge list does not match kneser n=13 k=0",
+    ),
+    _bad_graph(
+        "vertices-over-cap", "solve", "p edge 10000000 0\n",
+        "instance too large: 10000000 vertices exceed the enumeration cap 1000000",
     ),
     _bad_graph(
         "repeated-edge", "solve", "p edge 2 1\ne 1 2\ne 2 1\n",
