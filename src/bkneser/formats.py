@@ -207,6 +207,8 @@ def _dimacs_read_lines(lines: Iterable[str]) -> Graph:
         if first == "c":
             m = _KNESER_COMMENT.match(line)
             if m:
+                if params is not None:
+                    raise ValueError(f"repeated kneser tag: {line!r}")
                 params = KneserParams(int(m.group(1)), int(m.group(2)))
         elif first == "p":
             if vertices is not None:

@@ -83,7 +83,7 @@ from itertools import combinations
 from operator import and_, or_
 from typing import Iterator
 
-from .bcoloring import BColoringFailure, Coloring, class_masks, is_b_coloring
+from .bcoloring import Coloring, _sees_all_colors, is_b_coloring
 from .bounds import best_upper_bound
 from .kneser import Graph, InstanceTooLarge, bit_indices
 
@@ -638,9 +638,9 @@ def heuristic_b_coloring(
     best = _eliminate_undominated(graph, _greedy_proper(graph, steps), steps)
     k = phi_upper_bound(graph)
     while k > best.color_count and not _expired(deadline):
-        colors = _seeded_proper(graph, k, steps, deadline)
-        if colors is not None:
-            found = _eliminate_undominated(graph, colors, steps, deadline)
+        classes = _seeded_proper(graph, k, steps, deadline)
+        if classes is not None:
+            found = _eliminate_undominated(graph, classes, steps, deadline)
             if found is not None and found.color_count > best.color_count:
                 best = found
         k -= 1
@@ -660,9 +660,9 @@ def _largest_first(adj: tuple[int, ...]) -> list[int]:
 
 
 def _greedy_proper(graph: Graph, steps: list[int]) -> list[int]:
-    """Largest-first greedy proper coloring (ties by vertex index)."""
+    """Largest-first greedy proper coloring (ties by vertex index), as one
+    vertex mask per class in color order."""
     adj = graph.masks
-    colors = [-1] * len(adj)
     classes: list[int] = []
     for v in _largest_first(adj):
         steps[0] += 1
@@ -672,58 +672,56 @@ def _greedy_proper(graph: Graph, steps: list[int]) -> list[int]:
         if c == len(classes):
             classes.append(0)
         classes[c] |= 1 << v
-        colors[v] = c
-    return colors
+    return classes
 
 
 def _eliminate_undominated(
     graph: Graph,
-    colors: list[int],
+    classes: list[int],
     steps: list[int],
     deadline: float | None = None,
 ) -> Coloring | None:
-    """Recolor away undominated classes of the proper coloring `colors`
-    until it is a b-coloring (Irving & Manlove, Discrete Appl. Math. 91,
-    1999); None when `deadline` passes, checked once per round.
+    """Recolor away undominated classes of the proper coloring whose class
+    masks are `classes` until it is a b-coloring (Irving & Manlove, Discrete
+    Appl. Math. 91, 1999); None when `deadline` passes, checked once per
+    round.
 
-    Each member of a class with no dominating vertex misses some color, and
-    members are pairwise non-adjacent, so moving one to a color it misses
-    leaves the others missing theirs: the class empties, the color count
-    drops by one and the coloring stays proper.
+    Classes are numbered by least member, as Coloring.from_sequence numbers
+    them, and each round empties the first with no dominating vertex. Each
+    member of such a class misses some color, and members are pairwise
+    non-adjacent, so moving one to a color it misses leaves the others
+    missing theirs: the class empties, the color count drops by one and the
+    coloring stays proper.
     """
     adj = graph.masks
-    for _ in range(max(colors) + 2):
-        if _expired(deadline):
-            return None
-        coloring = Coloring.from_sequence(colors)
-        verdict = is_b_coloring(graph, coloring)
-        if verdict.valid:
-            return coloring
-        if verdict.reason is not BColoringFailure.MISSING_DOMINATING_VERTEX:
-            raise RuntimeError("internal error: base coloring lost properness")
-        colors = list(coloring.colors)
-        classes = class_masks(colors, coloring.color_count)
-        failing = verdict.failing_color
-        for v in bit_indices(classes[failing]):
+    classes = list(classes)
+    while not _expired(deadline):
+        classes.sort(key=lambda cm: cm & -cm)
+        for i, cm in enumerate(classes):
+            if not any(_sees_all_colors(graph, classes, v) for v in bit_indices(cm)):
+                break
+        else:
+            colors = [0] * len(adj)
+            for c, cm in enumerate(classes):
+                for v in bit_indices(cm):
+                    colors[v] = c
+            return Coloring(tuple(colors), len(classes))
+        for v in bit_indices(classes.pop(i)):
             steps[0] += 1
             closed = adj[v] | (1 << v)
-            missing = next((c for c, cm in enumerate(classes) if not closed & cm), None)
-            if missing is None:
-                break  # class became dominated; re-verify from the top
-            classes[failing] ^= 1 << v
-            classes[missing] |= 1 << v
-            colors[v] = missing
-    raise RuntimeError("internal error: undominated-class elimination diverged")
+            c = next(c for c, cm in enumerate(classes) if not closed & cm)
+            classes[c] |= 1 << v
+    return None
 
 
 def _seeded_proper(
     graph: Graph, k: int, steps: list[int], deadline: float | None = None
 ) -> list[int] | None:
-    """A greedy proper coloring with k colors, each seeded on one of the k
-    largest-first vertices of degree >= k-1, each other vertex taking the
-    color that most seed neighborhoods around it still miss. None when no
-    such seeds exist, some vertex has no color left, or `deadline` passes,
-    checked once per vertex.
+    """A greedy proper coloring with k colors, as one vertex mask per class
+    in color order, each seeded on one of the k largest-first vertices of
+    degree >= k-1, each other vertex taking the color that most seed
+    neighborhoods around it still miss. None when no such seeds exist, some
+    vertex has no color left, or `deadline` passes, checked once per vertex.
 
     covered[c] is the union of the closed neighborhoods of class c's
     members, which by symmetry holds exactly the vertices whose closed
@@ -734,14 +732,11 @@ def _seeded_proper(
     seeds = [v for v in order if adj[v].bit_count() >= k - 1][:k]
     if len(seeds) < k:
         return None
-    colors = [-1] * len(adj)
     classes = [1 << w for w in seeds]
     covered = [adj[w] | (1 << w) for w in seeds]
     seed_mask = sum(classes)
-    for i, w in enumerate(seeds):
-        colors[w] = i
     for v in order:
-        if colors[v] >= 0:
+        if seed_mask >> v & 1:
             continue
         if _expired(deadline):
             return None
@@ -752,7 +747,6 @@ def _seeded_proper(
         closed = adj[v] | (1 << v)
         near = closed & seed_mask
         c = max(avail, key=lambda c: ((near & ~covered[c]).bit_count(), -c))
-        colors[v] = c
         classes[c] |= 1 << v
         covered[c] |= closed
-    return colors
+    return classes

@@ -2,13 +2,17 @@
 
 Deliberately naive: plain sets and unpruned restricted-growth-string
 enumeration, sharing no code or data structures with the package under test.
-The exceptions are two earlier versions of package code. One is
+The exceptions are three earlier versions of package code. One is
 `reference_search_with_seeds`, the exact search's kernel as it was before its
 per-vertex checks were hoisted out of the color loop and before it propagated
 forced witnesses at the root: it runs on the package's budget tracker, so that
-both kernels can be compared tuple for tuple. The other is
+both kernels can be compared tuple for tuple. Another is
 `reference_seeded_proper`, the heuristic's seeded coloring before it kept its
 covered seeds as masks: it uses the package's vertex order and clock check,
+so that both can be compared coloring for coloring and step for step. The
+third is `reference_eliminate_undominated`, the heuristic's elimination as it
+was when it took a colors list and re-verified the whole coloring with
+`is_b_coloring` each round: it uses the package's verifier and clock check,
 so that both can be compared coloring for coloring and step for step.
 """
 
@@ -18,6 +22,7 @@ from functools import reduce
 from itertools import combinations
 from operator import or_
 
+from bkneser.bcoloring import BColoringFailure, Coloring, class_masks, is_b_coloring
 from bkneser.kneser import bit_indices
 from bkneser.solver import (
     _CLOCK_EVERY,
@@ -297,3 +302,43 @@ def reference_seeded_proper(
         colors[v] = c
         classes[c] |= 1 << v
     return colors
+
+
+def reference_eliminate_undominated(
+    graph,
+    colors: list[int],
+    steps: list[int],
+    deadline: float | None = None,
+) -> Coloring | None:
+    """Recolor away undominated classes of the proper coloring `colors`
+    until it is a b-coloring (Irving & Manlove, Discrete Appl. Math. 91,
+    1999); None when `deadline` passes, checked once per round.
+
+    Each member of a class with no dominating vertex misses some color, and
+    members are pairwise non-adjacent, so moving one to a color it misses
+    leaves the others missing theirs: the class empties, the color count
+    drops by one and the coloring stays proper.
+    """
+    adj = graph.masks
+    for _ in range(max(colors) + 2):
+        if _expired(deadline):
+            return None
+        coloring = Coloring.from_sequence(colors)
+        verdict = is_b_coloring(graph, coloring)
+        if verdict.valid:
+            return coloring
+        if verdict.reason is not BColoringFailure.MISSING_DOMINATING_VERTEX:
+            raise RuntimeError("internal error: base coloring lost properness")
+        colors = list(coloring.colors)
+        classes = class_masks(colors, coloring.color_count)
+        failing = verdict.failing_color
+        for v in bit_indices(classes[failing]):
+            steps[0] += 1
+            closed = adj[v] | (1 << v)
+            missing = next((c for c, cm in enumerate(classes) if not closed & cm), None)
+            if missing is None:
+                break  # class became dominated; re-verify from the top
+            classes[failing] ^= 1 << v
+            classes[missing] |= 1 << v
+            colors[v] = missing
+    raise RuntimeError("internal error: undominated-class elimination diverged")

@@ -114,6 +114,11 @@ class TestFormats:
                 "edge list does not match kneser n=2 k=1",
             ),
             ("p edge 3 1\ne 1 2\np edge 5 1\n", "repeated problem line: 'p edge 5 1'"),
+            # a second tag is rejected, not read over the first
+            (
+                "c kneser n=3 k=0\n" + dimacs_dumps(build_graph(KneserParams(2, 1))),
+                "repeated kneser tag: 'c kneser n=2 k=1'",
+            ),
         ],
         ids=[
             "bad-endpoint",
@@ -122,6 +127,7 @@ class TestFormats:
             "duplicate",
             "kneser",
             "repeated-p",
+            "repeated-tag",
         ],
     )
     def test_dimacs_rejects(self, tmp_path, text, message):
@@ -259,6 +265,10 @@ _KG72_EDITS = {
         "n must be a positive integer",
     ),
     "tag-leading-zero": (lambda text: text.replace("k=3", "k=03", 1), None),
+    "repeated-tag": (
+        lambda text: "c kneser n=3 k=0\n" + text,
+        "repeated kneser tag: 'c kneser n=2 k=3'",
+    ),
     "p-disagrees": (
         lambda text: text.replace("p edge 21 105", "p edge 21 104", 1),
         "edge count mismatch: declared 104, found 105",
@@ -1036,6 +1046,11 @@ _MALFORMED_INPUTS = [
     _bad_graph(
         "vertices-over-cap", "solve", "p edge 10000000 0\n",
         "instance too large: 10000000 vertices exceed the enumeration cap 1000000",
+    ),
+    _bad_graph(
+        "repeated-tag", "solve",
+        "c kneser n=1 k=1\nc kneser n=1 k=0\np edge 2 1\ne 1 2\n",
+        "repeated kneser tag: 'c kneser n=1 k=0'",
     ),
     _bad_graph(
         "repeated-edge", "solve", "p edge 2 1\ne 1 2\ne 2 1\n",

@@ -1,8 +1,9 @@
 import json
 import time
-from functools import partial
+from functools import partial, reduce
 from importlib import resources
 from itertools import combinations
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -30,12 +31,14 @@ from oracles import (
     naive_feasible_k,
     naive_is_proper,
     naive_phi,
+    reference_eliminate_undominated,
     reference_search_with_seeds,
     reference_seeded_proper,
 )
 from bkneser.reproduce import erdos_renyi_graph
 from bkneser.formats import certificate_from_dict
 from bkneser import solver
+from bkneser.bcoloring import class_masks
 from bkneser.solver import (
     _CLOCK_EVERY,
     _BudgetTracker,
@@ -516,10 +519,10 @@ class TestExactPhi:
         assert is_b_coloring(g, exc.certificate).valid
 
     def test_time_budget_bounds_a_long_heuristic_attempt(self):
-        # KG(16,4): the first seeded attempt (k = 496) and its elimination
-        # take most of a second, so the deadline may fall inside either; the
-        # lower bound is then the largest-first coloring's 10 or the
-        # attempt's 30, depending on the machine's speed
+        # KG(16,4): the first seeded attempt (k = 496) takes about 0.3 s and
+        # its elimination about 0.2 s (Python 3.11, 2 vCPUs), so the deadline
+        # may fall inside either; the lower bound is then the largest-first
+        # coloring's 10 or the attempt's 30, depending on the machine's speed
         g = build_graph(KneserParams(4, 8))
         start = time.monotonic()
         with pytest.raises(BudgetExceeded) as info:
@@ -537,6 +540,13 @@ class TestDeterminism:
         assert a.phi == b.phi
         assert a.certificate == b.certificate
         assert a.infeasible_at == b.infeasible_at
+
+
+def _colors_of(classes: list[int], graph: Graph) -> list[int]:
+    return [
+        next(c for c, cm in enumerate(classes) if cm >> v & 1)
+        for v in range(graph.vertex_count)
+    ]
 
 
 class TestHeuristic:
@@ -600,9 +610,9 @@ class TestHeuristic:
 
     def test_elimination_stops_on_a_past_deadline(self):
         g = build_graph(KneserParams(2, 2))
-        colors = _greedy_proper(g, [0])
-        assert _eliminate_undominated(g, colors, [0], time.monotonic() - 1) is None
-        assert is_b_coloring(g, _eliminate_undominated(g, colors, [0])).valid
+        classes = _greedy_proper(g, [0])
+        assert _eliminate_undominated(g, classes, [0], time.monotonic() - 1) is None
+        assert is_b_coloring(g, _eliminate_undominated(g, classes, [0])).valid
 
     def test_seeded_candidate_stops_on_a_past_deadline(self):
         g = build_graph(KneserParams(2, 2))  # KG(6,2): k = 7 gives a candidate
@@ -611,15 +621,19 @@ class TestHeuristic:
 
     def test_seeded_candidate_is_proper(self):
         g = build_graph(KneserParams(3, 3))  # KG(9,3)
+        everyone = (1 << g.vertex_count) - 1
         for k in range(phi_upper_bound(g), 1, -1):
-            colors = _seeded_proper(g, k, [0])
-            if colors is not None:
-                assert naive_is_proper(adjacency_sets(g), colors)
-                assert max(colors) == k - 1
+            classes = _seeded_proper(g, k, [0])
+            if classes is not None:
+                assert len(classes) == k and all(classes)
+                # disjoint (no carries), and cover every vertex
+                assert reduce(or_, classes) == sum(classes) == everyone
+                assert naive_is_proper(adjacency_sets(g), _colors_of(classes, g))
 
     def test_deadline_cuts_an_attempt_short(self):
-        # KG(16,4): the first seeded attempt and its elimination take most of
-        # a second, so a 0.5 s deadline falls inside them on most machines;
+        # KG(16,4): the first seeded attempt and its elimination take about
+        # half a second, and each later attempt about 0.1 s, so a 0.5 s
+        # deadline falls inside one of them;
         # test_seeded_candidate_stops_on_a_past_deadline pins the cut itself
         g = build_graph(KneserParams(4, 8))
         start = time.monotonic()
@@ -645,9 +659,49 @@ class TestHeuristic:
         for g in graphs:
             for k in range(1, phi_upper_bound(g) + 2):
                 steps, ref_steps = [0], [0]
-                colors = _seeded_proper(g, k, steps)
-                assert colors == reference_seeded_proper(g, k, ref_steps), (g, k)
+                classes = _seeded_proper(g, k, steps)
+                reference = reference_seeded_proper(g, k, ref_steps)
+                if reference is None:
+                    assert classes is None, (g, k)
+                else:
+                    assert classes == class_masks(reference, k), (g, k)
                 assert steps == ref_steps, (g, k)
+
+    def test_elimination_matches_the_reference(self):
+        graphs = [
+            build_graph(p)
+            for p in [
+                KneserParams(2, 1),
+                KneserParams(2, 3),
+                KneserParams(3, 3),
+                KneserParams(2, 8),
+                KneserParams(3, 4),
+            ]
+        ]
+        graphs += [
+            erdos_renyi_graph(12 + seed % 30, 0.1 + 0.2 * (seed % 5), 900 + seed)
+            for seed in range(30)
+        ]
+        for g in graphs:
+            candidates = [_greedy_proper(g, [0])]
+            candidates += [
+                classes
+                for k in range(1, phi_upper_bound(g) + 2)
+                if (classes := _seeded_proper(g, k, [0])) is not None
+            ]
+            for classes in candidates:
+                steps, ref_steps = [0], [0]
+                found = _eliminate_undominated(g, classes, steps)
+                colors = _colors_of(classes, g)
+                reference = reference_eliminate_undominated(g, colors, ref_steps)
+                assert found == reference, (g, classes)
+                assert steps == ref_steps, (g, classes)
+
+    def test_first_kg164_candidate_eliminates_to_30_colors(self):
+        g = build_graph(KneserParams(4, 8))
+        assert phi_upper_bound(g) == 496
+        classes = _seeded_proper(g, 496, [0])
+        assert _eliminate_undominated(g, classes, [0]).color_count == 30
 
     def test_always_valid_on_random_graphs(self):
         for seed in range(20):
