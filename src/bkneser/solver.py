@@ -68,8 +68,24 @@ so refuting one tuple from each orbit of k-sets of vertices refutes k.
   intersection size is still t*: it is a kept tuple.
 
 The brute-force oracle is an independent check: it enumerates canonical
-colorings (restricted-growth strings, pruned only by properness) and tests
-domination at the leaves, with no shared search machinery.
+colorings (restricted-growth strings) and shares no seed tuples, forced
+witnesses or orbit tables with the search. It runs one exact-k pass per k,
+from degree_bound down to 1, and stops at the first pass that accepts a leaf.
+Pass k keeps only the strings with at most k blocks and accepts a leaf with
+exactly k blocks each holding a dominating vertex. Two prunes cut a node for
+vertex v with b blocks so far; neither loses a k-block b-coloring below it.
+- Count: when b + (n - v) < k, since each of the n - v unassigned vertices
+  opens at most one block.
+- Potential: pot(u) is the number of distinct blocks among the assigned
+  vertices of N[u] plus the number of unassigned vertices of N[u]. It bounds
+  the blocks N[u] meets in any completion, and it never rises along a
+  branch: placing v in block c lowers it by one for exactly the neighbors of
+  v whose closed neighborhood already meets c, and opening a block changes
+  it for none. A dominator of a k-block coloring has pot(u) = k at the leaf,
+  so pot(u) >= k at every node above it: it is live. Block i can only gain
+  the unassigned vertices outside the open neighborhoods of its members, so
+  when neither those nor B_i hold a live vertex, block i has no dominator in
+  any completion.
 """
 
 from __future__ import annotations
@@ -438,22 +454,25 @@ def feasible_b_coloring(
 
 
 def brute_force_phi(graph: Graph, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> SolveResult:
-    """Exhaustive oracle: enumerate canonical colorings and take the maximum
-    color count admitting a b-coloring.
+    """Exhaustive oracle: one exact-k enumeration of canonical colorings per
+    k, from degree_bound(graph) down; the first k that admits a b-coloring
+    is phi, and every larger k is refuted by its own full pass.
 
-    Canonical colorings are restricted-growth strings over at most
-    degree_bound(graph) blocks, pruned only by properness; domination is
-    decided at complete assignments. Each block keeps a reach mask, the
-    vertices whose closed neighborhood meets it, and a complete assignment
-    is a b-coloring when every block meets the AND of all reach masks.
-    The leaves are tested in their parent's loop over the last vertex v,
-    with no call per leaf: placing v in proper block i ORs closed(v) into
-    reach[i] for one AND, and opening a new block ANDs closed(v) onto the
-    others. A leaf is tested only while no b-coloring with its block count
-    is recorded, so the first dominated leaf of each count in enumeration
-    order is the one recorded, and a parent whose leaves all have recorded
-    counts tests nothing. Intended for cross-validation, hence the small
-    default cap.
+    Pass k enumerates restricted-growth strings with at most k blocks: each
+    vertex joins the existing blocks it is proper to in index order, then
+    opens a new block. Each block keeps a reach mask, the vertices whose
+    closed neighborhood meets it, and a leaf with exactly k blocks is
+    accepted when every block meets the AND of all reach masks. The
+    certificate is the first accepted leaf of pass phi in that order, the
+    first b-coloring with phi colors among all restricted-growth strings.
+    Each call of the recursion, pruned or not, counts one node, summed over
+    the passes. Intended for cross-validation, hence the small default cap.
+
+    Two prunes cut a node for vertex v with b blocks so far: the count
+    prune when b + (n - v) < k, and the potential prune when some block can
+    no longer hold a live vertex, one whose closed neighborhood can still
+    meet k blocks. Neither cuts a node above a k-block b-coloring (module
+    docstring), so a pass that accepts no leaf refutes k.
     """
     n = graph.vertex_count
     if n == 0:
@@ -470,89 +489,89 @@ def brute_force_phi(graph: Graph, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> SolveRe
     start = time.perf_counter()
     ub = degree_bound(graph)
     adj = graph.masks
-    last = n - 1
+    degrees = graph.degrees()
+    everyone = (1 << n) - 1
 
     colors = [-1] * n
     block_masks: list[int] = []
     # reach[i]: vertices whose closed neighborhood meets block i
     reach: list[int] = []
-    found: dict[int, tuple[int, ...]] = {}
     nodes = 0
 
-    def dominated(dom: int) -> bool:
-        """Every block meets dom, the AND of all reach masks."""
-        for bm in block_masks:
-            if not bm & dom:
-                return False
-        return True
-
-    def descend(v: int) -> None:
+    def descend(v: int, live: int) -> bool:
+        """Color v.., with `live` the vertices of slack >= 0; True at the
+        first accepted leaf, with colors holding it."""
         nonlocal nodes
         nodes += 1
+        b = len(block_masks)
+        if b + n - v < k:
+            return False
+        if v == n:
+            dom = reduce(and_, reach)
+            return all(bm & dom for bm in block_masks)
+        # block i can still gain only the unassigned vertices outside the
+        # open neighborhoods of its members, which reach[i] holds
+        unassigned = everyone >> v << v
+        for bm, seen in zip(block_masks, reach):
+            if not (bm | (unassigned & ~seen)) & live:
+                return False
         vbit = 1 << v
         adj_v = adj[v]
         closed = adj_v | vbit
-        if v == last:
-            # the leaves under this parent, tested in place
-            b = len(block_masks)
-            if b not in found:
-                for i, bm in enumerate(block_masks):
-                    if bm & adj_v:
-                        continue
-                    seen = reach[i]
-                    reach[i] = seen | closed
-                    block_masks[i] = bm | vbit
-                    hit = dominated(reduce(and_, reach))
-                    block_masks[i] = bm
-                    reach[i] = seen
-                    if hit:
-                        colors[v] = i
-                        found[b] = tuple(colors)
-                        break
-            if b < ub and b + 1 not in found:
-                block_masks.append(vbit)
-                if dominated(reduce(and_, reach, closed)):
-                    colors[v] = b
-                    found[b + 1] = tuple(colors)
-                block_masks.pop()
-            colors[v] = -1
-            return
         for i, bm in enumerate(block_masks):
-            if not bm & adj_v:
-                colors[v] = i
-                block_masks[i] = bm | vbit
-                seen = reach[i]
-                reach[i] = seen | closed
-                descend(v + 1)
-                reach[i] = seen
-                block_masks[i] = bm
-        if len(block_masks) < ub:
-            colors[v] = len(block_masks)
+            if bm & adj_v:
+                continue
+            seen = reach[i]
+            # the neighbors of v that already see block i lose v as an
+            # unassigned vertex and gain no block
+            lost = bit_indices(adj_v & seen)
+            child_live = live
+            for u in lost:
+                slack[u] -= 1
+                if slack[u] < 0:
+                    child_live &= ~(1 << u)
+            colors[v] = i
+            block_masks[i] = bm | vbit
+            reach[i] = seen | closed
+            if descend(v + 1, child_live):
+                return True
+            reach[i] = seen
+            block_masks[i] = bm
+            for u in lost:
+                slack[u] += 1
+        if b < k:
+            colors[v] = b
             block_masks.append(vbit)
             reach.append(closed)
-            descend(v + 1)
+            if descend(v + 1, live):
+                return True
             reach.pop()
             block_masks.pop()
         colors[v] = -1
+        return False
 
     # descend recurses once per vertex: room for its frames, as in
     # feasible_b_coloring
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + n + 10)
     try:
-        descend(0)
+        for k in range(ub, 0, -1):
+            # slack[u]: pot(u) - k, pot(u) being at most the blocks N[u] can
+            # still meet; nothing is assigned yet, so pot(u) = |N[u]|
+            slack = [d + 1 - k for d in degrees]
+            if descend(0, sum(1 << u for u, s in enumerate(slack) if s >= 0)):
+                break
+        else:
+            raise RuntimeError("internal error: no b-coloring found at any k >= 1")
     finally:
         sys.setrecursionlimit(limit)
-    if not found:
-        raise RuntimeError("internal error: no b-coloring found at any k >= 1")
-    phi = max(found)
-    certificate = Coloring.from_sequence(found[phi])
+    certificate = Coloring.from_sequence(colors)
     if not is_b_coloring(graph, certificate).valid:
         raise RuntimeError("internal error: oracle certificate failed verification")
     return SolveResult(
-        phi=phi,
+        phi=k,
         certificate=certificate,
-        infeasible_at=tuple(range(phi + 1, ub + 1)),
+        infeasible_at=tuple(range(k + 1, ub + 1)),
         stats=SolveStats(nodes, time.perf_counter() - start, "brute"),
         exact=True,
     )

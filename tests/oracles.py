@@ -2,7 +2,7 @@
 
 Deliberately naive: plain sets and unpruned restricted-growth-string
 enumeration, sharing no code or data structures with the package under test.
-The exceptions are three earlier versions of package code. One is
+The exceptions are four earlier versions of package code. One is
 `reference_search_with_seeds`, the exact search's kernel as it was before its
 per-vertex checks were hoisted out of the color loop and before it propagated
 forced witnesses at the root: it runs on the package's budget tracker, so that
@@ -13,14 +13,19 @@ so that both can be compared coloring for coloring and step for step. The
 third is `reference_eliminate_undominated`, the heuristic's elimination as it
 was when it took a colors list and re-verified the whole coloring with
 `is_b_coloring` each round: it uses the package's verifier and clock check,
-so that both can be compared coloring for coloring and step for step.
+so that both can be compared coloring for coloring and step for step. The
+fourth is `reference_brute_force_phi`, the brute-force oracle as it was when
+it enumerated every proper restricted-growth string over at most the degree
+bound's blocks in one pass and tested domination at the leaves: it uses the
+package's degree bound, so that both can be compared answer for answer and
+certificate for certificate.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from itertools import combinations
-from operator import or_
+from operator import and_, or_
 
 from bkneser.bcoloring import BColoringFailure, Coloring, class_masks, is_b_coloring
 from bkneser.kneser import bit_indices
@@ -30,6 +35,7 @@ from bkneser.solver import (
     _expired,
     _largest_first,
     _StopSearch,
+    degree_bound,
 )
 
 
@@ -342,3 +348,93 @@ def reference_eliminate_undominated(
             classes[missing] |= 1 << v
             colors[v] = missing
     raise RuntimeError("internal error: undominated-class elimination diverged")
+
+
+def reference_brute_force_phi(graph) -> tuple[int, tuple[int, ...], tuple[int, ...], int]:
+    """`brute_force_phi` as it was before its descending exact-k passes:
+    (phi, infeasible_at, certificate colors, nodes).
+
+    Canonical colorings are restricted-growth strings over at most
+    degree_bound(graph) blocks, pruned only by properness; domination is
+    decided at complete assignments. Each block keeps a reach mask, the
+    vertices whose closed neighborhood meets it, and a complete assignment
+    is a b-coloring when every block meets the AND of all reach masks.
+    The leaves are tested in their parent's loop over the last vertex v,
+    with no call per leaf: placing v in proper block i ORs closed(v) into
+    reach[i] for one AND, and opening a new block ANDs closed(v) onto the
+    others. A leaf is tested only while no b-coloring with its block count
+    is recorded, so the first dominated leaf of each count in enumeration
+    order is the one recorded, and a parent whose leaves all have recorded
+    counts tests nothing.
+    """
+    n = graph.vertex_count
+    ub = degree_bound(graph)
+    adj = graph.masks
+    last = n - 1
+
+    colors = [-1] * n
+    block_masks: list[int] = []
+    # reach[i]: vertices whose closed neighborhood meets block i
+    reach: list[int] = []
+    found: dict[int, tuple[int, ...]] = {}
+    nodes = 0
+
+    def dominated(dom: int) -> bool:
+        """Every block meets dom, the AND of all reach masks."""
+        for bm in block_masks:
+            if not bm & dom:
+                return False
+        return True
+
+    def descend(v: int) -> None:
+        nonlocal nodes
+        nodes += 1
+        vbit = 1 << v
+        adj_v = adj[v]
+        closed = adj_v | vbit
+        if v == last:
+            # the leaves under this parent, tested in place
+            b = len(block_masks)
+            if b not in found:
+                for i, bm in enumerate(block_masks):
+                    if bm & adj_v:
+                        continue
+                    seen = reach[i]
+                    reach[i] = seen | closed
+                    block_masks[i] = bm | vbit
+                    hit = dominated(reduce(and_, reach))
+                    block_masks[i] = bm
+                    reach[i] = seen
+                    if hit:
+                        colors[v] = i
+                        found[b] = tuple(colors)
+                        break
+            if b < ub and b + 1 not in found:
+                block_masks.append(vbit)
+                if dominated(reduce(and_, reach, closed)):
+                    colors[v] = b
+                    found[b + 1] = tuple(colors)
+                block_masks.pop()
+            colors[v] = -1
+            return
+        for i, bm in enumerate(block_masks):
+            if not bm & adj_v:
+                colors[v] = i
+                block_masks[i] = bm | vbit
+                seen = reach[i]
+                reach[i] = seen | closed
+                descend(v + 1)
+                reach[i] = seen
+                block_masks[i] = bm
+        if len(block_masks) < ub:
+            colors[v] = len(block_masks)
+            block_masks.append(vbit)
+            reach.append(closed)
+            descend(v + 1)
+            reach.pop()
+            block_masks.pop()
+        colors[v] = -1
+
+    descend(0)
+    phi = max(found)
+    return phi, tuple(range(phi + 1, ub + 1)), found[phi], nodes

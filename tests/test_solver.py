@@ -31,11 +31,12 @@ from oracles import (
     naive_feasible_k,
     naive_is_proper,
     naive_phi,
+    reference_brute_force_phi,
     reference_eliminate_undominated,
     reference_search_with_seeds,
     reference_seeded_proper,
 )
-from bkneser.reproduce import erdos_renyi_graph
+from bkneser.reproduce import SMALL_KNESER_PARAMS, erdos_renyi_graph, load_seed_entries
 from bkneser.formats import certificate_from_dict
 from bkneser import solver
 from bkneser.bcoloring import class_masks
@@ -130,6 +131,64 @@ class TestBruteForce:
         for g in (k3, matching6):
             expected, _ = naive_phi(adjacency_sets(g))
             assert brute_force_phi(g).phi == expected
+
+    def test_matches_naive_on_every_labeled_graph_up_to_5_vertices(self):
+        checked = 0
+        for n in range(1, 6):
+            pairs = list(combinations(range(n), 2))
+            for chosen in range(1 << len(pairs)):
+                edges = [e for i, e in enumerate(pairs) if chosen >> i & 1]
+                g = Graph.from_edges(n, edges)
+                expected, _ = naive_phi(adjacency_sets(g))
+                assert brute_force_phi(g).phi == expected, (n, edges)
+                checked += 1
+        assert checked == 1099
+
+    def test_matches_the_reference(self):
+        for g in _reference_cases():
+            result = brute_force_phi(g, cap=14)
+            phi, infeasible_at, colors, _ = reference_brute_force_phi(g)
+            assert result.phi == phi, g
+            assert result.infeasible_at == infeasible_at, g
+            assert result.certificate.colors == colors, g
+
+    def test_phi_far_below_the_degree_bound(self):
+        # K_{7,7}: degree bound 8, phi 2, so the passes for k = 8..3 each
+        # refute before the pass for 2 accepts
+        g = _complete_bipartite(7)
+        result = brute_force_phi(g, cap=14)
+        phi, infeasible_at, colors, ref_nodes = reference_brute_force_phi(g)
+        assert (result.phi, result.infeasible_at) == (phi, infeasible_at) == (2, (3, 4, 5, 6, 7, 8))
+        assert result.certificate.colors == colors
+        assert result.stats.nodes_explored < ref_nodes
+
+
+def _complete_bipartite(a):
+    return Graph.from_edges(2 * a, [(i, a + j) for i in range(a) for j in range(a)])
+
+
+def _reference_cases():
+    """Graphs on which the brute-force oracle must give the reference's phi,
+    infeasible_at and certificate; the reference takes about 1.5 s on all."""
+    yield from (build_graph(p) for p in SMALL_KNESER_PARAMS)
+    for e in load_seed_entries():
+        yield erdos_renyi_graph(e["vertices"], e["density"], e["seed"])
+    for n in range(1, 13):
+        for tenths in range(1, 10):
+            yield erdos_renyi_graph(n, tenths / 10, 7000 + 10 * n + tenths)
+    for a in range(1, 8):
+        yield _complete_bipartite(a)
+        # the crown: K_{a,a} less a perfect matching
+        yield Graph.from_edges(2 * a, [(i, a + j) for i in range(a) for j in range(a) if i != j])
+    for n in range(1, 13):
+        yield Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])  # P_n
+        yield Graph.from_edges(n, combinations(range(n), 2))  # K_n
+        yield Graph.from_edges(n, [(0, i) for i in range(1, n)])  # a star
+        if n >= 3:
+            yield Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])  # C_n
+    # 3K_4
+    cliques = [(4 * c + i, 4 * c + j) for c in range(3) for i, j in combinations(range(4), 2)]
+    yield Graph.from_edges(12, cliques)
 
 
 class TestFeasible:
@@ -264,17 +323,20 @@ def _digits(text):
 
 
 class TestPinnedOutputs:
-    """Outputs of both exhaustive loops: a faster node must keep every
-    decision, so phi, infeasible_at, node counts and certificates stay
-    exactly these. The exact search's counts also pin its seed tuples and
-    its root propagation."""
+    """Outputs of both exhaustive loops. The exact search must keep every
+    decision, so its phi, infeasible_at, node counts and certificates stay
+    exactly these; its counts also pin its seed tuples and its root
+    propagation. The brute-force oracle keeps its answers and certificates:
+    its phi, infeasible_at and certificates are those of its one-pass
+    predecessor (`reference_brute_force_phi` in `oracles`), and its node
+    counts, summed over its exact-k passes, pin its prunes."""
 
     BRUTE = {
-        "petersen": (3, (4,), 771, "0001112221"),
-        "kg62": (6, (7,), 485_878, "000112342234553"),
-        (0.3, 1): (5, (), 51_279, "01001203341422"),
-        (0.5, 2): (5, (6,), 128_748, "00111002342113"),
-        (0.7, 3): (8, (9,), 7_967, "01234562057046"),
+        "petersen": (3, (4,), 625, "0001112221"),
+        "kg62": (6, (7,), 7_881, "000112342234553"),
+        (0.3, 1): (5, (), 32, "01001203341422"),
+        (0.5, 2): (5, (6,), 14_547, "00111002342113"),
+        (0.7, 3): (8, (9,), 2_535, "01234562057046"),
     }
 
     @pytest.mark.parametrize("name", list(BRUTE), ids=str)
