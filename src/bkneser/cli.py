@@ -9,12 +9,14 @@ Exit codes: 0 success or valid; 1 invalid certificate or failed suite;
 flags. Node budgets and brute caps below 1 and negative, infinite or NaN time
 budgets exit 2, and so does a budget flag the chosen solve mode does not read
 (_MODE_FLAGS).
+
+Each command imports the modules it runs when it runs, so `--help` and the
+lighter commands compile and load none of the others.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -22,25 +24,15 @@ import time
 from pathlib import Path
 from typing import Any
 
-from . import formats
-from .bcoloring import analyze_proof_structure, is_b_coloring
-from .bounds import asymptotic_table, best_upper_bound
-from .kneser import InstanceTooLarge, KneserParams, build_graph
-from .reproduce import SUITES
-from .solver import (
-    DEFAULT_BRUTE_FORCE_CAP,
-    DEFAULT_NODE_BUDGET,
-    Budget,
-    BudgetExceeded,
-    brute_force_phi,
-    exact_phi,
-    heuristic_b_coloring,
-)
-
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+# the keys of reproduce.SUITES, named here so that building the parser
+# imports no suite; tests/test_imports.py checks that the two agree
+_SUITE_NAMES = ("crossover", "oracle", "ratios", "sharpness")
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -94,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_rep = sub.add_parser("reproduce", help="run a named verification suite")
-    p_rep.add_argument("--suite", choices=sorted(SUITES), required=True)
+    p_rep.add_argument("--suite", choices=_SUITE_NAMES, required=True)
     p_rep.add_argument("--out-dir", default="reports")
     p_rep.set_defaults(func=_cmd_reproduce)
 
@@ -109,10 +101,15 @@ def _config_dict(args: argparse.Namespace, keys: list[str]) -> dict[str, Any]:
 
 
 def _emit(obj: dict[str, Any]) -> None:
+    import json
+
     print(json.dumps(obj, indent=2))
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from . import formats
+    from .kneser import KneserParams, build_graph
+
     graph = build_graph(KneserParams(args.n, args.k))
     formats.write_graph(args.out, graph)
     print(
@@ -123,6 +120,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    from . import formats
+    from .bounds import asymptotic_table, best_upper_bound
+    from .kneser import KneserParams
+
     if args.scan is not None:
         if args.n is not None or args.k is not None:
             raise ValueError("give either n k or --scan, not both")
@@ -179,6 +180,9 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _parse_solve_target(args: argparse.Namespace):
+    from . import formats
+    from .kneser import KneserParams, build_graph
+
     if len(args.target) == 1:
         return formats.load_graph(args.target[0])
     if len(args.target) == 2:
@@ -189,14 +193,6 @@ def _parse_solve_target(args: argparse.Namespace):
         return build_graph(KneserParams(n, k))
     raise ValueError("solve target must be a file or two integers n k")
 
-
-# each budget flag: (its argparse dest and config key, its default, the
-# least value accepted)
-_BUDGET_FLAGS = {
-    "--budget-nodes": ("budget_nodes", DEFAULT_NODE_BUDGET, 1),
-    "--budget-seconds": ("budget_seconds", None, 0.0),
-    "--brute-cap": ("brute_cap", DEFAULT_BRUTE_FORCE_CAP, 1),
-}
 
 # the budget flags each solve mode reads; any other one is an input error,
 # and the solve's config reports exactly these
@@ -210,7 +206,16 @@ _MODE_FLAGS = {
 def _solve_budgets(args: argparse.Namespace) -> dict[str, Any]:
     """The budget settings the solve mode reads, by config key, each from its
     flag or else its default."""
-    given = {flag: getattr(args, key) for flag, (key, _, _) in _BUDGET_FLAGS.items()}
+    from .solver import DEFAULT_BRUTE_FORCE_CAP, DEFAULT_NODE_BUDGET
+
+    # each budget flag: (its argparse dest and config key, its default, the
+    # least value accepted)
+    flags = {
+        "--budget-nodes": ("budget_nodes", DEFAULT_NODE_BUDGET, 1),
+        "--budget-seconds": ("budget_seconds", None, 0.0),
+        "--brute-cap": ("brute_cap", DEFAULT_BRUTE_FORCE_CAP, 1),
+    }
+    given = {flag: getattr(args, key) for flag, (key, _, _) in flags.items()}
     reads = _MODE_FLAGS[args.mode]
     for flag, value in given.items():
         if value is not None and flag not in reads:
@@ -220,7 +225,7 @@ def _solve_budgets(args: argparse.Namespace) -> dict[str, Any]:
             )
     budgets = {}
     for flag in reads:
-        key, default, least = _BUDGET_FLAGS[flag]
+        key, default, least = flags[flag]
         value = given[flag]
         if value is None:
             value = default
@@ -242,6 +247,17 @@ def _check_writable(path: str) -> None:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    # solver first: without a bytecode cache, compiling the largest module
+    # while the fewest others are loaded keeps the process's peak RSS down
+    from .solver import (
+        Budget,
+        BudgetExceeded,
+        brute_force_phi,
+        exact_phi,
+        heuristic_b_coloring,
+    )
+    from . import formats
+
     budgets = _solve_budgets(args)
     _check_writable(args.cert)
     graph = _parse_solve_target(args)
@@ -310,6 +326,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import formats
+    from .bcoloring import analyze_proof_structure, is_b_coloring
+
     graph = formats.load_graph(args.graph)
     coloring, cert_params, claimed = formats.read_certificate(args.certificate)
     if len(coloring.colors) != graph.vertex_count:
@@ -377,7 +396,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    report = SUITES[args.suite]()
+    import json
+
+    from .reproduce import SUITES
+    from .solver import BudgetExceeded
+
+    try:
+        report = SUITES[args.suite]()
+    except BudgetExceeded as exc:  # a suite's exact solve under the default budget
+        _fail(str(exc))
+        return EXIT_BUDGET
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = _config_dict(args, ["suite", "out_dir"])
@@ -395,18 +423,22 @@ def _fail(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
+def _input_errors() -> tuple[type[Exception], ...]:
+    """The exceptions that mean bad input (exit 2). An except clause
+    evaluates this only once an exception is raised, so no command imports
+    kneser before its own modules, which keeps the solve path's peak RSS
+    down."""
+    from .kneser import InstanceTooLarge
+
+    return InstanceTooLarge, ValueError, OSError
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExceeded as exc:  # direct feasibility calls
-        _fail(str(exc))
-        return EXIT_BUDGET
-    except InstanceTooLarge as exc:
-        _fail(str(exc))
-        return EXIT_USAGE
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except _input_errors() as exc:
         _fail(str(exc))
         return EXIT_USAGE
 

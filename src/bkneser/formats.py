@@ -19,14 +19,10 @@ from __future__ import annotations
 import io
 import json
 import re
-from dataclasses import asdict
-from fractions import Fraction
 from pathlib import Path
 from itertools import compress
-from typing import Any, Iterable, Iterator, TextIO
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, TextIO
 
-from .bcoloring import Coloring, ProofAnalysis
-from .bounds import BoundsReport
 from .kneser import (
     DEFAULT_ENUMERATION_CAP,
     Graph,
@@ -35,6 +31,12 @@ from .kneser import (
     build_graph,
     check_enumeration_cap,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .bcoloring import Coloring, ProofAnalysis
+    from .bounds import BoundsReport
 
 _KNESER_COMMENT = re.compile(r"^c\s+kneser\s+n=(\d+)\s+k=(\d+)\s*$")
 _PROBLEM_LINE = re.compile(r"^p\s+edge\s+(\d+)\s+(\d+)$")
@@ -333,6 +335,8 @@ def certificate_from_dict(
                 f"certificate vertex_count {len(colors)} is not the vertex count "
                 f"of KG({params.ground_size}, {params.n}) given by its params"
             )
+    from .bcoloring import Coloring
+
     # Labels are canonicalized on load; class structure is unaffected.
     return Coloring.from_sequence(colors), params, data["claimed_b_coloring"]
 
@@ -380,6 +384,8 @@ def proof_analysis_dict(analysis: ProofAnalysis) -> dict[str, Any]:
 
 
 def bounds_report_dict(report: BoundsReport) -> dict[str, Any]:
+    from dataclasses import asdict
+
     params = report.params
     return {
         "params": {"n": params.n, "k": params.k},

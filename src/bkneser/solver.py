@@ -504,6 +504,9 @@ def brute_force_phi(graph: Graph, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> SolveRe
         nonlocal nodes
         nodes += 1
         b = len(block_masks)
+        # implied by the potential prune below: every pot(u) is at most
+        # b + (n - v), so live is empty once this holds and b >= 1. It stays
+        # as an O(1) pre-check, and at v == n it is the b == k condition
         if b + n - v < k:
             return False
         if v == n:

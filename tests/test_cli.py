@@ -34,7 +34,8 @@ from bkneser.formats import (
     read_certificate,
     write_graph,
 )
-from bkneser.solver import _eliminate_undominated, _greedy_proper
+from bkneser.reproduce import SUITES
+from bkneser.solver import BudgetExceeded, _eliminate_undominated, _greedy_proper
 from oracles import naive_dimacs
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET = 0, 1, 2, 3
@@ -936,6 +937,17 @@ class TestReproduceCli:
             "5": 15,
         }
 
+    def test_suite_out_of_budget_exits_3(self, tmp_path, monkeypatch, capsys):
+        # a suite's exact solves run under the default node budget
+        def out_of_budget():
+            raise BudgetExceeded("node budget of 5 exhausted", tested_k=4)
+
+        monkeypatch.setitem(SUITES, "oracle", out_of_budget)
+        code = main(["reproduce", "--suite", "oracle", "--out-dir", str(tmp_path)])
+        assert code == EXIT_BUDGET
+        assert capsys.readouterr().err == "error: node budget of 5 exhausted\n"
+        assert not list(tmp_path.iterdir())
+
 
 _TWO_VERTEX_GRAPH = "p edge 2 1\ne 1 2\n"
 
@@ -975,6 +987,10 @@ _JSON_GRAPHS = {
 _MALFORMED_INPUTS = [
     _bad_certificate("cert-number", "5\n", "must be a JSON object"),
     _bad_certificate("cert-list", "[0, 1]\n", "must be a JSON object"),
+    pytest.param(
+        ["verify", "g.col", "c.json"], {"g.col": _TWO_VERTEX_GRAPH, "c.json": "{\n"},
+        "error: Expecting property name enclosed in double quotes", id="cert-not-json",
+    ),
     _bad_certificate("params-number", _certificate(params=5), _PARAMS_MESSAGE),
     _bad_certificate(
         "params-float-n", _certificate(params={"n": 2.7, "k": 1}), _PARAMS_MESSAGE
