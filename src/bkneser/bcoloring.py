@@ -10,32 +10,37 @@ counting chain that bounds the number of classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import reduce
 from itertools import islice
 from operator import and_
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .kneser import Graph, KneserParams, bit_indices
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-@dataclass(frozen=True)
-class Coloring:
-    """Total vertex -> color assignment; colors 0..color_count-1, all nonempty."""
 
+class _ColoringFields(NamedTuple):
     colors: tuple[int, ...]
     color_count: int
 
-    def __post_init__(self) -> None:
-        if not self.colors:
+
+class Coloring(_ColoringFields):
+    """Total vertex -> color assignment; colors 0..color_count-1, all nonempty.
+    Its len() is the number of vertices it colors."""
+
+    __slots__ = ()
+
+    def __new__(cls, colors: tuple[int, ...], color_count: int) -> Coloring:
+        if not colors:
             raise ValueError("coloring must cover at least one vertex")
-        used = set(self.colors)
-        if used != set(range(self.color_count)):
+        if set(colors) != set(range(color_count)):
             raise ValueError(
                 "colors must use exactly the indices 0..color_count-1 with no gaps"
             )
+        return super().__new__(cls, colors, color_count)
 
     @classmethod
     def from_sequence(cls, seq: Iterable[int]) -> Coloring:
@@ -62,8 +67,7 @@ class BColoringFailure(str, Enum):
     MISSING_DOMINATING_VERTEX = "missing_dominating_vertex"
 
 
-@dataclass(frozen=True)
-class BColoringVerdict:
+class BColoringVerdict(NamedTuple):
     """Outcome of b-coloring verification with machine-readable failure data."""
 
     valid: bool
@@ -156,14 +160,12 @@ class ProofStep(str, Enum):
     GLOBAL_UPPER_BOUND = "global_upper_bound"
 
 
-@dataclass(frozen=True)
-class ProofCheckFailure:
+class ProofCheckFailure(NamedTuple):
     step: ProofStep
     detail: str
 
 
-@dataclass(frozen=True)
-class ClassAnalysis:
+class ClassAnalysis(NamedTuple):
     color: int
     members: tuple[int, ...]
     core: int  # subset mask, element i at bit i-1
@@ -171,8 +173,7 @@ class ClassAnalysis:
     non_intersecting: bool
 
 
-@dataclass(frozen=True)
-class CountingRecord:
+class CountingRecord(NamedTuple):
     """The evaluated counting chain for one b-coloring."""
 
     color_count: int
@@ -185,8 +186,7 @@ class CountingRecord:
     global_bound_holds: bool
 
 
-@dataclass(frozen=True)
-class ProofAnalysis:
+class ProofAnalysis(NamedTuple):
     classes: tuple[ClassAnalysis, ...]
     intersecting_family: tuple[int, ...]
     injection: Mapping[int, int]
@@ -213,6 +213,8 @@ def analyze_proof_structure(
     Any failed check names its step; failures indicate an implementation bug,
     since all steps hold for every valid b-coloring of a Kneser graph.
     """
+    from fractions import Fraction
+
     if graph.params != params or graph.subsets is None:
         raise ValueError("graph was not generated from the given parameters")
     verdict = is_b_coloring(graph, coloring, all_witnesses=True)

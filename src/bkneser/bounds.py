@@ -13,34 +13,30 @@ Three bounds are tracked, all in exact arithmetic:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .kneser import KneserParams
 
 
-@dataclass(frozen=True)
-class BKBound:
+class BKBound(NamedTuple):
     applicable: bool  # arithmetic condition |V| <= 2d+2
     hypothesis_met: bool  # stated hypothesis n >= 2
     i_max: int | None
     value: int | None
 
 
-@dataclass(frozen=True)
-class UBound:
+class UBound(NamedTuple):
     exact: Fraction
     floor: int
 
 
-@dataclass(frozen=True)
-class Ratios:
+class Ratios(NamedTuple):
     two_ground_over_v: Fraction  # 2(2n+k) / |V|
     degree_over_v: Fraction  # d / |V|
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     params: KneserParams
     regular_bound: int
     bk: BKBound

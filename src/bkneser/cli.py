@@ -21,8 +21,11 @@ import math
 import os
 import sys
 import time
-from pathlib import Path
-from typing import Any
+
+# typing.TYPE_CHECKING without importing typing, which the CLI does not run
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -237,6 +240,8 @@ def _solve_budgets(args: argparse.Namespace) -> dict[str, Any]:
 
 def _check_writable(path: str) -> None:
     """Reject a certificate path that cannot be written, before any search."""
+    from pathlib import Path
+
     target = Path(path)
     if not target.parent.is_dir():
         raise ValueError(f"cannot write --cert {path}: no directory {target.parent}")
@@ -397,6 +402,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     import json
+    from pathlib import Path
 
     from .reproduce import SUITES
     from .solver import BudgetExceeded

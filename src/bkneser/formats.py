@@ -9,9 +9,16 @@ comparison with that text, piece by piece; any other file is read by one line
 loop, after a rewind if the comparison began. That loop needs the `p` line
 before the first edge line and at most the enumeration cap's vertices there.
 So a file is read at most twice, and memory grows with the graph, not with
-the file. A rational renders as `p/q` beside its exact value rounded
-half-even to six places. The scan CSV's columns are `scan_row_dict`'s keys;
-a rational's key takes two, `<key>` holding `p/q` and `<key>_decimal`.
+the file. Once the loop has read as many edge lines as the `p` line declares
+vertices V, it looks edge endpoints up in a label table: a dict from the
+canonical text of each label 1..V to its vertex index, so it never holds
+more entries than the file has edge lines. Any other label text (`03`, `+3`,
+0, past V) and every label read before the table is filled goes through
+`int()` and the same checks, in the same order, so the table changes no
+accepted file and no message. A rational renders as `p/q` beside its exact
+value rounded half-even to six places. The scan CSV's columns are
+`scan_row_dict`'s keys; a rational's key takes two, `<key>` holding `p/q`
+and `<key>_decimal`.
 """
 
 from __future__ import annotations
@@ -175,36 +182,54 @@ def _dimacs_read_lines(lines: Iterable[str]) -> Graph:
     comes before the first edge line, declares at most the enumeration cap's
     vertices, and bounds every endpoint; each edge is folded into per-vertex
     masks as it is read. No line is kept, so memory grows with the graph,
-    not with the file. A file tagged with Kneser parameters must hold
-    exactly the edges those parameters build."""
+    not with the file; the label table (module docstring) is filled once,
+    when the edge lines read equal the vertex count. A file tagged with
+    Kneser parameters must hold exactly the edges those parameters build."""
     vertices: int | None = None
     edges = 0
     params: KneserParams | None = None
     masks: list[int] = []
     edge_lines = 0
+    # the label table: canonical label text -> vertex index, empty until as
+    # many edge lines as vertices have been read
+    labels: dict[str, int] = {}
+    index = labels.get
     for line in lines:
-        parts = line.split()
-        if len(parts) == 3 and parts[0] == "e":
-            if vertices is None:
-                raise ValueError(
-                    f"edge line before the 'p edge' header: {line.strip()!r}"
-                )
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ValueError(f"malformed edge line: {line.strip()!r}") from None
-            if u == v or u < 1 or v < 1:
-                raise ValueError(f"invalid edge {u} {v}")
-            if u > vertices or v > vertices:
-                bad = u if u > vertices else v
-                raise ValueError(f"edge endpoint {bad} exceeds vertex count")
-            masks[u - 1] |= 1 << (v - 1)
-            masks[v - 1] |= 1 << (u - 1)
+        try:
+            tag, first_label, second_label = line.split()
+        except ValueError:  # not three tokens
+            tag = ""
+        if tag == "e":
+            u = index(first_label)
+            v = index(second_label)
+            if u is None or v is None:
+                if vertices is None:
+                    raise ValueError(
+                        f"edge line before the 'p edge' header: {line.strip()!r}"
+                    )
+                try:
+                    u, v = int(first_label), int(second_label)
+                except ValueError:
+                    raise ValueError(f"malformed edge line: {line.strip()!r}") from None
+                if u == v or u < 1 or v < 1:
+                    raise ValueError(f"invalid edge {u} {v}")
+                if u > vertices or v > vertices:
+                    bad = u if u > vertices else v
+                    raise ValueError(f"edge endpoint {bad} exceeds vertex count")
+                u -= 1
+                v -= 1
+                if edge_lines == vertices:
+                    texts = map(str, range(1, vertices + 1))
+                    labels.update(zip(texts, range(vertices)))
+            elif u == v:
+                raise ValueError(f"invalid edge {u + 1} {v + 1}")
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
             edge_lines += 1
             continue
-        if not parts:
-            continue
         line = line.strip()
+        if not line:
+            continue
         first = line[0]
         if first == "c":
             m = _KNESER_COMMENT.match(line)
@@ -384,8 +409,6 @@ def proof_analysis_dict(analysis: ProofAnalysis) -> dict[str, Any]:
 
 
 def bounds_report_dict(report: BoundsReport) -> dict[str, Any]:
-    from dataclasses import asdict
-
     params = report.params
     return {
         "params": {"n": params.n, "k": params.k},
@@ -393,7 +416,7 @@ def bounds_report_dict(report: BoundsReport) -> dict[str, Any]:
         "vertex_count": params.vertex_count,
         "degree": params.degree,
         "regular_bound": report.regular_bound,
-        "bk": asdict(report.bk),  # its fields in the schema's order
+        "bk": report.bk._asdict(),  # its fields in the schema's order
         "u": {
             **fraction_json(report.u_exact),
             "floor": report.u_floor,

@@ -8,8 +8,7 @@ the subsets are disjoint, i.e. the bitwise AND is zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 # Materialization cap; counting/bound operations are never capped. At the cap
 # the adjacency masks alone would take about 125 GB, so no larger instance can
@@ -31,18 +30,22 @@ def bit_indices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class KneserParams:
-    """Parameters (n, k) of KG(2n+k, n): n-subsets of a ground set of size 2n+k."""
-
+class _KneserFields(NamedTuple):
     n: int
     k: int
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+
+class KneserParams(_KneserFields):
+    """Parameters (n, k) of KG(2n+k, n): n-subsets of a ground set of size 2n+k."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, k: int) -> KneserParams:
+        if n < 1:
             raise ValueError("n must be a positive integer")
-        if self.k < 0:
+        if k < 0:
             raise ValueError("k must be a nonnegative integer")
+        return super().__new__(cls, n, k)
 
     @property
     def ground_size(self) -> int:

@@ -93,14 +93,12 @@ from __future__ import annotations
 import heapq
 import sys
 import time
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import and_, or_
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .bcoloring import Coloring, _sees_all_colors, is_b_coloring
-from .bounds import best_upper_bound
 from .kneser import Graph, InstanceTooLarge, bit_indices
 
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -112,8 +110,7 @@ _CLOCK_EVERY = 2048
 _MAX_SEARCH_VERTICES = 10_000
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(NamedTuple):
     """Resource limits for exact search; exceeding them yields a bracket,
     never a wrong answer."""
 
@@ -172,15 +169,13 @@ class _BudgetTracker:
             raise _StopSearch
 
 
-@dataclass(frozen=True)
-class SolveStats:
+class SolveStats(NamedTuple):
     nodes_explored: int
     elapsed_seconds: float
     mode: str
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     """phi is exact in exact/brute modes and a verified lower bound in
     heuristic mode; the certificate always passes b-coloring verification."""
 
@@ -586,6 +581,8 @@ def phi_upper_bound(graph: Graph) -> int:
     parameters."""
     ub = degree_bound(graph)
     if graph.params is not None:
+        from .bounds import best_upper_bound
+
         ub = min(ub, best_upper_bound(graph.params).best)
     return ub
 

@@ -2,7 +2,7 @@
 
 Deliberately naive: plain sets and unpruned restricted-growth-string
 enumeration, sharing no code or data structures with the package under test.
-The exceptions are four earlier versions of package code. One is
+The exceptions are five earlier versions of package code. One is
 `reference_search_with_seeds`, the exact search's kernel as it was before its
 per-vertex checks were hoisted out of the color loop and before it propagated
 forced witnesses at the root: it runs on the package's budget tracker, so that
@@ -18,7 +18,10 @@ fourth is `reference_brute_force_phi`, the brute-force oracle as it was when
 it enumerated every proper restricted-growth string over at most the degree
 bound's blocks in one pass and tested domination at the leaves: it uses the
 package's degree bound, so that both can be compared answer for answer and
-certificate for certificate.
+certificate for certificate. The fifth is `reference_dimacs_read_lines`, the
+DIMACS line loop as it was when it parsed every edge endpoint with `int()`:
+it uses the package's patterns, graph type and Kneser build, so that both
+loops can be compared graph for graph and error message for error message.
 """
 
 from __future__ import annotations
@@ -26,9 +29,17 @@ from __future__ import annotations
 from functools import reduce
 from itertools import combinations
 from operator import and_, or_
+from typing import Iterable
 
 from bkneser.bcoloring import BColoringFailure, Coloring, class_masks, is_b_coloring
-from bkneser.kneser import bit_indices
+from bkneser.formats import _KNESER_COMMENT, _PROBLEM_LINE, _kneser_counts_are
+from bkneser.kneser import (
+    Graph,
+    KneserParams,
+    bit_indices,
+    build_graph,
+    check_enumeration_cap,
+)
 from bkneser.solver import (
     _CLOCK_EVERY,
     _BudgetTracker,
@@ -438,3 +449,85 @@ def reference_brute_force_phi(graph) -> tuple[int, tuple[int, ...], tuple[int, .
     descend(0)
     phi = max(found)
     return phi, tuple(range(phi + 1, ub + 1)), found[phi], nodes
+
+
+def reference_dimacs_read_lines(lines: Iterable[str]) -> Graph:
+    """Parse a DIMACS edge file in one pass over its lines. The one `p` line
+    comes before the first edge line, declares at most the enumeration cap's
+    vertices, and bounds every endpoint; each edge is folded into per-vertex
+    masks as it is read. No line is kept, so memory grows with the graph,
+    not with the file. A file tagged with Kneser parameters must hold
+    exactly the edges those parameters build."""
+    vertices: int | None = None
+    edges = 0
+    params: KneserParams | None = None
+    masks: list[int] = []
+    edge_lines = 0
+    for line in lines:
+        parts = line.split()
+        if len(parts) == 3 and parts[0] == "e":
+            if vertices is None:
+                raise ValueError(
+                    f"edge line before the 'p edge' header: {line.strip()!r}"
+                )
+            try:
+                u, v = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ValueError(f"malformed edge line: {line.strip()!r}") from None
+            if u == v or u < 1 or v < 1:
+                raise ValueError(f"invalid edge {u} {v}")
+            if u > vertices or v > vertices:
+                bad = u if u > vertices else v
+                raise ValueError(f"edge endpoint {bad} exceeds vertex count")
+            masks[u - 1] |= 1 << (v - 1)
+            masks[v - 1] |= 1 << (u - 1)
+            edge_lines += 1
+            continue
+        if not parts:
+            continue
+        line = line.strip()
+        first = line[0]
+        if first == "c":
+            m = _KNESER_COMMENT.match(line)
+            if m:
+                if params is not None:
+                    raise ValueError(f"repeated kneser tag: {line!r}")
+                params = KneserParams(int(m.group(1)), int(m.group(2)))
+        elif first == "p":
+            if vertices is not None:
+                raise ValueError(f"repeated problem line: {line!r}")
+            m = _PROBLEM_LINE.match(line)
+            if not m:
+                raise ValueError(f"malformed problem line: {line!r}")
+            vertices, edges = int(m.group(1)), int(m.group(2))
+            check_enumeration_cap(vertices)
+            masks = [0] * vertices
+        elif first == "e":
+            # a wrong token count, or a first token such as `e1` or `edge`
+            raise ValueError(f"malformed edge line: {line!r}")
+        else:
+            raise ValueError(f"unrecognized DIMACS line: {line!r}")
+    if vertices is None:
+        raise ValueError("missing 'p edge' header")
+    graph = Graph(masks)
+    if graph.edge_count != edges:
+        raise ValueError(
+            f"edge count mismatch: declared {edges}, found {graph.edge_count}"
+        )
+    if edge_lines != graph.edge_count:
+        raise ValueError(
+            f"repeated edge: {edge_lines} edge lines name "
+            f"{graph.edge_count} distinct edges"
+        )
+    if params is not None:
+        # a tag that disagrees with the p line is rejected before its graph
+        # is built
+        expected = None
+        if _kneser_counts_are(params, vertices, edges):
+            expected = build_graph(params)
+        if expected is None or expected.masks != graph.masks:
+            raise ValueError(
+                f"edge list does not match kneser n={params.n} k={params.k}"
+            )
+        return expected
+    return graph

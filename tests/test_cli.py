@@ -36,7 +36,7 @@ from bkneser.formats import (
 )
 from bkneser.reproduce import SUITES
 from bkneser.solver import BudgetExceeded, _eliminate_undominated, _greedy_proper
-from oracles import naive_dimacs
+from oracles import naive_dimacs, reference_dimacs_read_lines
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET = 0, 1, 2, 3
 
@@ -277,6 +277,62 @@ _KG72_EDITS = {
 }
 
 
+def _plain_edge_lines(seed):
+    """The vertex count and edge lines of a seeded G(n, p): each edge once,
+    its endpoints in either order, the lines shuffled."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 40)
+    p = rng.choice((0.05, 0.2, 0.5, 0.8))
+    lines = [
+        f"e {u} {v}" if rng.random() < 0.5 else f"e {v} {u}"
+        for u in range(1, n + 1)
+        for v in range(u + 1, n + 1)
+        if rng.random() < p
+    ]
+    rng.shuffle(lines)
+    return n, lines
+
+
+def _plain_text(seed, n, lines, declared=None):
+    """A DIMACS file of these edge lines under a `p` line declaring `declared`
+    edges (default: one per line), with comment and blank lines mixed in
+    and, by seed, tab separators and CRLF endings."""
+    rng = random.Random(seed)
+    body = list(lines)
+    for _ in range(rng.randint(0, 4)):
+        body.insert(rng.randint(0, len(body)), rng.choice(("c a comment", "", "  ")))
+    header = ["c plain", f"p edge {n} {len(lines) if declared is None else declared}"]
+    text = "\n".join(header + body) + "\n"
+    if rng.random() < 0.3:
+        text = text.replace(" ", "\t")
+    if rng.random() < 0.3:
+        text = text.replace("\n", "\r\n")
+    return text
+
+
+def _both_loops(text):
+    """The package's and the reference's line loop on the same lines, line
+    endings kept."""
+    lines = io.StringIO(text, newline="").readlines()
+    return (
+        _outcome(formats._dimacs_read_lines, lines),
+        _outcome(reference_dimacs_read_lines, lines),
+    )
+
+
+# edits of a plain file's edge lines, each made where the label table is still
+# empty (every label is then past its end) and where it holds every label
+_PLAIN_EDITS = {
+    "self-loop": lambda n, lines: ["e 3 3"],
+    "self-loop-two-spellings": lambda n, lines: ["e 3 03"],
+    "repeated-edge-two-spellings": lambda n, lines: ["e 1 2", "e 01 2"],
+    "respelled": lambda n, lines: ["e 0{1} +{2}".format(*lines.pop().split())],
+    "endpoint-0": lambda n, lines: ["e 0 1"],
+    "endpoint-past-v": lambda n, lines: [f"e 1 {n + 1}"],
+    "not-a-number": lambda n, lines: ["e 1 x"],
+}
+
+
 class TestDimacsWriter:
     @pytest.mark.parametrize(
         "graph",
@@ -455,6 +511,55 @@ class TestDimacsReader:
         writer.join(timeout=60)
         assert not writer.is_alive()
         assert (loaded.masks, loaded.params) == (graph.masks, graph.params)
+
+    def test_line_loop_matches_the_reference_on_random_graphs(self):
+        built = 0
+        for seed in range(240):
+            n, lines = _plain_edge_lines(seed)
+            ours, reference = _both_loops(_plain_text(seed, n, lines))
+            assert ours == reference, seed
+            assert not isinstance(ours[0], type), (seed, ours)
+            built += len(lines) > n
+        assert built >= 100  # files long enough for the label table
+
+    @pytest.mark.parametrize("where", ["table-empty", "table-full"])
+    @pytest.mark.parametrize("edit", list(_PLAIN_EDITS))
+    def test_line_loop_edits_match_the_reference(self, edit, where):
+        for seed in range(300):
+            n, lines = _plain_edge_lines(seed)
+            if n >= 3 and len(lines) > 2 * n:
+                break
+        changed = _PLAIN_EDITS[edit](n, lines)
+        lines = changed + lines if where == "table-empty" else lines + changed
+        ours, reference = _both_loops(_plain_text(seed, n, lines))
+        assert ours == reference
+        assert isinstance(reference[0], type) == (edit != "respelled"), reference
+
+    @pytest.mark.parametrize("change", ["edge-before-p", "too-few", "too-many"])
+    def test_line_loop_header_edits_match_the_reference(self, change):
+        for seed in range(40):
+            n, lines = _plain_edge_lines(seed)
+            declared = len(lines) + {"too-few": -1, "too-many": 1}.get(change, 0)
+            text = _plain_text(seed, n, lines, declared)
+            if change == "edge-before-p":
+                text = "e 1 2\n" + text
+            ours, reference = _both_loops(text)
+            assert ours == reference, seed
+            assert isinstance(reference[0], type), seed
+
+    def test_label_table_follows_the_edge_lines_not_the_header(self):
+        # one edge line under a header of a million vertices: the table stays
+        # empty, so the loop needs no more than the reference's int() loop
+        lines = ["p edge 1000000 1\n", "e 1 1000000\n"]
+        peaks = []
+        for loop in (reference_dimacs_read_lines, formats._dimacs_read_lines):
+            tracemalloc.start()
+            try:
+                assert loop(lines).edge_count == 1
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 1_000_000, peaks
 
     def test_line_loop_streams(self, tmp_path):
         # KG(12,4) with every edge line written `e v u`: the comparison stops
