@@ -90,7 +90,6 @@ vertex v with b blocks so far; neither loses a k-block b-coloring below it.
 
 from __future__ import annotations
 
-import heapq
 import sys
 import time
 from functools import reduce
@@ -108,6 +107,8 @@ _CLOCK_EVERY = 2048
 # whose calls use the C stack, overflowed an 8 MB stack between 20,000 and
 # 30,000 such frames.
 _MAX_SEARCH_VERTICES = 10_000
+# seeded heuristic candidates that may fail in a row (heuristic_b_coloring)
+_SEEDED_MISSES = 3
 
 
 class Budget(NamedTuple):
@@ -361,7 +362,8 @@ def _search_with_seeds(
 def _seed_tuples(graph: Graph, k: int) -> Iterator[tuple[int, ...]]:
     """The seed tuples, ascending within each, whose refutation refutes k
     colors: every k-subset of the vertices of degree >= k-1, cut on Kneser
-    graphs to one per orbit or to the kept tuples of the module docstring."""
+    graphs to one per orbit or, outside the orbit table, to the kept tuples
+    of the module docstring, filtered from the unreduced ones in order."""
     candidates = [v for v, d in enumerate(graph.degrees()) if d >= k - 1]
     if graph.params is None or graph.subsets is None:
         yield from combinations(candidates, k)
@@ -378,24 +380,14 @@ def _seed_tuples(graph: Graph, k: int) -> Iterator[tuple[int, ...]]:
     if k == 1:
         yield (0,)
         return
-
-    def branch(rep: int, others: list[int]) -> Iterator[tuple[int, ...]]:
-        for tail in combinations(others, k - 2):
-            yield tuple(sorted((0, rep, *tail)))
-
     base = graph.subsets[0]
     meet = [(s & base).bit_count() for s in graph.subsets]
-    rest = candidates[1:]
-    branches = []
-    for t in range(graph.params.n):
-        rep = next((v for v in rest if meet[v] == t), None)
-        if rep is not None:
-            branches.append(branch(rep, [v for v in rest if v != rep]))
-            rest = [v for v in rest if meet[v] != t]
-    # Merged into the lexicographic order of the unreduced search, so the
-    # search reaches each kept tuple after no more nodes than the unreduced
-    # one does; the order changes no refutation count.
-    yield from heapq.merge(*branches)
+    first = {meet[v]: v for v in reversed(candidates[1:])}  # t -> r_t
+    # in the lexicographic order of the unreduced search, so the search
+    # reaches each kept tuple after no more nodes than the unreduced one does
+    for rest in combinations(candidates[1:], k - 1):
+        if first[min(meet[v] for v in rest)] in rest:
+            yield (0, *rest)
 
 
 def feasible_b_coloring(
@@ -643,12 +635,14 @@ def heuristic_b_coloring(
     The best of `_eliminate_undominated` over a list of proper colorings: a
     largest-first greedy coloring, then, for each k from phi_upper_bound
     down while k exceeds the best count so far, a seeded greedy coloring
-    with k colors (a candidate with k colors keeps at most k). Elimination
-    turns any proper coloring into a b-coloring, so the first candidate
-    always gives a result. Once `deadline`, a time.monotonic() value, has
-    passed, the current seeded candidate is abandoned and no other starts;
-    the first candidate ignores it. Without a deadline the clock is never
-    read.
+    with k colors (a candidate with k colors keeps at most k), until
+    _SEEDED_MISSES attempts in a row give no coloring: on Kneser graphs
+    only the first attempt has been seen to succeed, and the later ones
+    cost as much. Elimination turns any proper coloring into a b-coloring,
+    so the first candidate always gives a result. Once `deadline`, a
+    time.monotonic() value, has passed, the current seeded candidate is
+    abandoned and no other starts; the first candidate ignores it. Without a
+    deadline the clock is never read.
     """
     if graph.vertex_count == 0:
         raise ValueError("empty graph rejected")
@@ -656,8 +650,10 @@ def heuristic_b_coloring(
     steps = [0]
     best = _eliminate_undominated(graph, _greedy_proper(graph, steps), steps)
     k = phi_upper_bound(graph)
-    while k > best.color_count and not _expired(deadline):
+    misses = 0
+    while k > best.color_count and misses < _SEEDED_MISSES and not _expired(deadline):
         classes = _seeded_proper(graph, k, steps, deadline)
+        misses = misses + 1 if classes is None else 0
         if classes is not None:
             found = _eliminate_undominated(graph, classes, steps, deadline)
             if found is not None and found.color_count > best.color_count:

@@ -2,7 +2,7 @@
 
 Deliberately naive: plain sets and unpruned restricted-growth-string
 enumeration, sharing no code or data structures with the package under test.
-The exceptions are five earlier versions of package code. One is
+The exceptions are seven earlier versions of package code. One is
 `reference_search_with_seeds`, the exact search's kernel as it was before its
 per-vertex checks were hoisted out of the color loop and before it propagated
 forced witnesses at the root: it runs on the package's budget tracker, so that
@@ -22,14 +22,24 @@ certificate for certificate. The fifth is `reference_dimacs_read_lines`, the
 DIMACS line loop as it was when it parsed every edge endpoint with `int()`:
 it uses the package's patterns, graph type and Kneser build, so that both
 loops can be compared graph for graph and error message for error message.
+The sixth is `reference_heuristic_b_coloring`, the heuristic as it was when
+it tried a seeded candidate for every k from the upper bound down while k
+exceeded the best count: it uses the package's candidates, elimination and
+verifier, so that both schedules can be compared certificate for
+certificate. The seventh is `reference_seed_tuples`, the orbital-branching
+seed tuples as they were when each branch had its own generator and
+`heapq.merge` put them in order: it uses the package's orbit table, so that
+both can be compared tuple for tuple.
 """
 
 from __future__ import annotations
 
+import heapq
+import time
 from functools import reduce
 from itertools import combinations
 from operator import and_, or_
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from bkneser.bcoloring import BColoringFailure, Coloring, class_masks, is_b_coloring
 from bkneser.formats import _KNESER_COMMENT, _PROBLEM_LINE, _kneser_counts_are
@@ -40,13 +50,20 @@ from bkneser.kneser import (
     build_graph,
     check_enumeration_cap,
 )
+from bkneser.orbits import representatives
 from bkneser.solver import (
     _CLOCK_EVERY,
     _BudgetTracker,
+    _eliminate_undominated,
     _expired,
+    _greedy_proper,
     _largest_first,
+    _seeded_proper,
     _StopSearch,
     degree_bound,
+    phi_upper_bound,
+    SolveResult,
+    SolveStats,
 )
 
 
@@ -449,6 +466,83 @@ def reference_brute_force_phi(graph) -> tuple[int, tuple[int, ...], tuple[int, .
     descend(0)
     phi = max(found)
     return phi, tuple(range(phi + 1, ub + 1)), found[phi], nodes
+
+
+def reference_heuristic_b_coloring(
+    graph: Graph, deadline: float | None = None
+) -> SolveResult:
+    """Greedy lower-bound certificate; always returns a verified b-coloring.
+
+    The best of `_eliminate_undominated` over a list of proper colorings: a
+    largest-first greedy coloring, then, for each k from phi_upper_bound
+    down while k exceeds the best count so far, a seeded greedy coloring
+    with k colors (a candidate with k colors keeps at most k). Elimination
+    turns any proper coloring into a b-coloring, so the first candidate
+    always gives a result. Once `deadline`, a time.monotonic() value, has
+    passed, the current seeded candidate is abandoned and no other starts;
+    the first candidate ignores it. Without a deadline the clock is never
+    read.
+    """
+    if graph.vertex_count == 0:
+        raise ValueError("empty graph rejected")
+    start = time.perf_counter()
+    steps = [0]
+    best = _eliminate_undominated(graph, _greedy_proper(graph, steps), steps)
+    k = phi_upper_bound(graph)
+    while k > best.color_count and not _expired(deadline):
+        classes = _seeded_proper(graph, k, steps, deadline)
+        if classes is not None:
+            found = _eliminate_undominated(graph, classes, steps, deadline)
+            if found is not None and found.color_count > best.color_count:
+                best = found
+        k -= 1
+    if not is_b_coloring(graph, best).valid:
+        raise RuntimeError("internal error: heuristic produced an invalid coloring")
+    return SolveResult(
+        phi=best.color_count,
+        certificate=best,
+        infeasible_at=(),
+        stats=SolveStats(steps[0], time.perf_counter() - start, "heuristic"),
+        exact=False,
+    )
+
+
+def reference_seed_tuples(graph: Graph, k: int) -> Iterator[tuple[int, ...]]:
+    """The seed tuples, ascending within each, whose refutation refutes k
+    colors: every k-subset of the vertices of degree >= k-1, cut on Kneser
+    graphs to one per orbit or to the kept tuples of the `bkneser.solver`
+    module docstring."""
+    candidates = [v for v, d in enumerate(graph.degrees()) if d >= k - 1]
+    if graph.params is None or graph.subsets is None:
+        yield from combinations(candidates, k)
+        return
+    if not candidates or candidates[0] != 0:  # regular: all or none
+        return
+    orbits = representatives(graph.params.ground_size, graph.params.n, k)
+    if orbits is not None:
+        yield from orbits
+        return
+    if k == 1:
+        yield (0,)
+        return
+
+    def branch(rep: int, others: list[int]) -> Iterator[tuple[int, ...]]:
+        for tail in combinations(others, k - 2):
+            yield tuple(sorted((0, rep, *tail)))
+
+    base = graph.subsets[0]
+    meet = [(s & base).bit_count() for s in graph.subsets]
+    rest = candidates[1:]
+    branches = []
+    for t in range(graph.params.n):
+        rep = next((v for v in rest if meet[v] == t), None)
+        if rep is not None:
+            branches.append(branch(rep, [v for v in rest if v != rep]))
+            rest = [v for v in rest if meet[v] != t]
+    # Merged into the lexicographic order of the unreduced search, so the
+    # search reaches each kept tuple after no more nodes than the unreduced
+    # one does; the order changes no refutation count.
+    yield from heapq.merge(*branches)
 
 
 def reference_dimacs_read_lines(lines: Iterable[str]) -> Graph:

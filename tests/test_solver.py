@@ -2,7 +2,7 @@ import json
 import time
 from functools import partial, reduce
 from importlib import resources
-from itertools import combinations
+from itertools import combinations, islice
 from operator import or_
 
 import pytest
@@ -33,7 +33,9 @@ from oracles import (
     naive_phi,
     reference_brute_force_phi,
     reference_eliminate_undominated,
+    reference_heuristic_b_coloring,
     reference_search_with_seeds,
+    reference_seed_tuples,
     reference_seeded_proper,
 )
 from bkneser.reproduce import SMALL_KNESER_PARAMS, erdos_renyi_graph, load_seed_entries
@@ -285,6 +287,20 @@ class TestKneserReduction:
             combinations(range(kg.vertex_count), 2)
         )
 
+    # KG(9,3), KG(10,3), KG(11,3) and KG(10,4): outside the orbit table
+    @pytest.mark.parametrize(
+        "params",
+        [KneserParams(3, 3), KneserParams(3, 4), KneserParams(3, 5), KneserParams(4, 2)],
+        ids=str,
+    )
+    def test_seed_tuples_match_the_reference(self, params):
+        # the filter against the per-branch generators merged by heapq.merge,
+        # which share no code with the kept-tuple formula
+        kg = build_graph(params)
+        for m in range(1, kg.degrees()[0] + 3):
+            expected = list(islice(reference_seed_tuples(kg, m), 20_000))
+            assert list(islice(_seed_tuples(kg, m), 20_000)) == expected, m
+
     def test_reduction_halves_refutation_nodes(self):
         kg = build_graph(KneserParams(2, 2))  # KG(6,2): 7 colors are refuted
         nodes = []
@@ -363,13 +379,13 @@ class TestPinnedOutputs:
         budget = Budget(max_nodes=30_000)
         result = exact_phi(build_graph(KneserParams(2, 3)), budget=budget)
         assert (result.phi, result.infeasible_at) == (7, (8, 9, 10))
-        assert result.stats.nodes_explored == 7_068
+        assert result.stats.nodes_explored == 7_054
         assert result.certificate == _committed("kg_2_3_phi7.json")[0]
 
     def test_exact_kg82(self):
         result = exact_phi(build_graph(KneserParams(2, 4)))
         assert (result.phi, result.infeasible_at) == (9, (10, 11, 12, 13))
-        assert result.stats.nodes_explored == 352_528
+        assert result.stats.nodes_explored == 352_498
         assert result.certificate == _committed("kg_2_4_phi9.json")[0]
 
     def test_budget_bracket_kg82(self):
@@ -635,11 +651,13 @@ class TestHeuristic:
         assert result.phi == 1
         assert is_b_coloring(g, result.certificate).valid
 
-    # (steps from phi_upper_bound, steps from degree_bound): the seeded
-    # candidates of KG(12,2) skip k = 46..31, those of KG(14,2) k = 67..40
+    # (steps from phi_upper_bound, steps from degree_bound): from the bound,
+    # the seeded candidates of KG(12,2) at k = 30..28 and of KG(14,2) at
+    # k = 39..37 find no coloring; from the degree bound, those at k = 46 and
+    # 67 beat no largest-first coloring and the next three find none
     @pytest.mark.parametrize(
         "params,steps",
-        [(KneserParams(2, 8), (291, 663)), (KneserParams(2, 10), (424, 1_119))],
+        [(KneserParams(2, 8), (108, 264)), (KneserParams(2, 10), (145, 384))],
     )
     def test_phase_two_starts_at_the_upper_bound(self, params, steps, monkeypatch):
         g = build_graph(params)
@@ -693,9 +711,10 @@ class TestHeuristic:
                 assert naive_is_proper(adjacency_sets(g), _colors_of(classes, g))
 
     def test_deadline_cuts_an_attempt_short(self):
-        # KG(16,4): the first seeded attempt and its elimination take about
-        # half a second, and each later attempt about 0.1 s, so a 0.5 s
-        # deadline falls inside one of them;
+        # KG(16,4): the first seeded attempt (k = 496) and its elimination
+        # take about half a second, and each of the three failing attempts
+        # after it about as long as the first, so a 0.5 s deadline falls
+        # inside one of them;
         # test_seeded_candidate_stops_on_a_past_deadline pins the cut itself
         g = build_graph(KneserParams(4, 8))
         start = time.monotonic()
@@ -758,6 +777,31 @@ class TestHeuristic:
                 reference = reference_eliminate_undominated(g, colors, ref_steps)
                 assert found == reference, (g, classes)
                 assert steps == ref_steps, (g, classes)
+
+    def test_schedule_matches_the_reference(self):
+        # fixed before measuring: KG(5,2)-KG(14,2), KG(7,3)-KG(12,3) and 100
+        # seeded G(n, p), n from 10 to 120 and p from 0.05 to 0.9
+        graphs = [build_graph(KneserParams(2, k)) for k in range(1, 11)]
+        graphs += [build_graph(KneserParams(3, k)) for k in range(1, 7)]
+        graphs += [
+            erdos_renyi_graph(10 + 110 * seed // 99, 0.05 * (1 + seed % 18), 2600 + seed)
+            for seed in range(100)
+        ]
+        for g in graphs:
+            result = heuristic_b_coloring(g)
+            reference = reference_heuristic_b_coloring(g)
+            assert result.phi == reference.phi, g
+            assert result.certificate == reference.certificate, g
+
+    def test_kg164_stops_after_three_failed_candidates(self):
+        # k = 496 certifies 30 colors, then k = 495..493 find no coloring;
+        # the uncut schedule, reference_heuristic_b_coloring, takes 489,569
+        # steps and about 50 s here
+        g = build_graph(KneserParams(4, 8))
+        result = heuristic_b_coloring(g)
+        assert result.phi == 30
+        assert result.stats.nodes_explored == 12_671
+        assert is_b_coloring(g, result.certificate).valid
 
     def test_first_kg164_candidate_eliminates_to_30_colors(self):
         g = build_graph(KneserParams(4, 8))
