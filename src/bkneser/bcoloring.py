@@ -89,6 +89,16 @@ def class_masks(colors: Sequence[int], count: int) -> list[int]:
     return out
 
 
+def class_colors(classes: Sequence[int], vertex_count: int) -> list[int]:
+    """The color of each vertex, given one vertex bitmask per color class;
+    the inverse of class_masks."""
+    colors = [0] * vertex_count
+    for c, members in enumerate(classes):
+        for v in bit_indices(members):
+            colors[v] = c
+    return colors
+
+
 def _sees_all_colors(graph: Graph, classes: list[int], v: int) -> bool:
     closed = graph.masks[v] | (1 << v)
     return all(closed & cm for cm in classes)

@@ -71,21 +71,26 @@ The brute-force oracle is an independent check: it enumerates canonical
 colorings (restricted-growth strings) and shares no seed tuples, forced
 witnesses or orbit tables with the search. It runs one exact-k pass per k,
 from degree_bound down to 1, and stops at the first pass that accepts a leaf.
-Pass k keeps only the strings with at most k blocks and accepts a leaf with
-exactly k blocks each holding a dominating vertex. Two prunes cut a node for
-vertex v with b blocks so far; neither loses a k-block b-coloring below it.
-- Count: when b + (n - v) < k, since each of the n - v unassigned vertices
-  opens at most one block.
-- Potential: pot(u) is the number of distinct blocks among the assigned
-  vertices of N[u] plus the number of unassigned vertices of N[u]. It bounds
-  the blocks N[u] meets in any completion, and it never rises along a
-  branch: placing v in block c lowers it by one for exactly the neighbors of
-  v whose closed neighborhood already meets c, and opening a block changes
-  it for none. A dominator of a k-block coloring has pot(u) = k at the leaf,
-  so pot(u) >= k at every node above it: it is live. Block i can only gain
-  the unassigned vertices outside the open neighborhoods of its members, so
-  when neither those nor B_i hold a live vertex, block i has no dominator in
-  any completion.
+Pass k keeps only the strings with at most k blocks, and one prune cuts a
+node for vertex v with b blocks so far. pot(u) is the number of distinct
+blocks among the assigned vertices of N[u] plus the number of unassigned
+vertices of N[u]. It bounds the blocks N[u] meets in any completion, and it
+never rises along a branch: placing v in block c lowers it by one for exactly
+the neighbors of v whose closed neighborhood already meets c, and opening a
+block changes it for none. A dominator of a k-block coloring has pot(u) = k
+at the leaf, so pot(u) >= k at every node above it: it is live. Block i can
+only gain the unassigned vertices outside the open neighborhoods of its
+members, so when neither those nor B_i hold a live vertex, block i has no
+dominator in any completion, and the node is cut.
+- At a leaf nothing is unassigned and pot(u) is the number of blocks N[u]
+  meets, at most b. So a leaf passes the prune exactly when b = k and every
+  block holds a vertex whose closed neighborhood meets all k blocks: the
+  prune is the leaf's b-coloring test.
+- No node needs a count check, b + (n - v) < k. The sum is at least k at
+  the root, as k <= degree_bound <= n, and opening a block keeps it. Where
+  it is exactly k, a live u has N[u] meeting all b blocks and holding every
+  unassigned vertex. So the prune finds its live vertex for block i in B_i
+  itself, adjacent to v, and v opens a block: the sum stays k.
 """
 
 from __future__ import annotations
@@ -94,10 +99,10 @@ import sys
 import time
 from functools import reduce
 from itertools import combinations
-from operator import and_, or_
+from operator import or_
 from typing import Iterator, NamedTuple
 
-from .bcoloring import Coloring, _sees_all_colors, is_b_coloring
+from .bcoloring import Coloring, _sees_all_colors, class_colors, is_b_coloring
 from .kneser import Graph, InstanceTooLarge, bit_indices
 
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -352,11 +357,7 @@ def _search_with_seeds(
     tracker.nodes = nodes
     if not found:
         return None
-    color = [0] * len(adj)
-    for c, members in enumerate(colored):
-        for v in bit_indices(members):
-            color[v] = c
-    return color
+    return class_colors(colored, len(adj))
 
 
 def _seed_tuples(graph: Graph, k: int) -> Iterator[tuple[int, ...]]:
@@ -455,11 +456,10 @@ def brute_force_phi(graph: Graph, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> SolveRe
     Each call of the recursion, pruned or not, counts one node, summed over
     the passes. Intended for cross-validation, hence the small default cap.
 
-    Two prunes cut a node for vertex v with b blocks so far: the count
-    prune when b + (n - v) < k, and the potential prune when some block can
-    no longer hold a live vertex, one whose closed neighborhood can still
-    meet k blocks. Neither cuts a node above a k-block b-coloring (module
-    docstring), so a pass that accepts no leaf refutes k.
+    One prune cuts a node for vertex v when some block can no longer hold a
+    live vertex, one whose closed neighborhood can still meet k blocks. It
+    cuts no node above a k-block b-coloring (module docstring), so a pass
+    that accepts no leaf refutes k; at a leaf it is the b-coloring test.
     """
     n = graph.vertex_count
     if n == 0:
@@ -479,7 +479,6 @@ def brute_force_phi(graph: Graph, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> SolveRe
     degrees = graph.degrees()
     everyone = (1 << n) - 1
 
-    colors = [-1] * n
     block_masks: list[int] = []
     # reach[i]: vertices whose closed neighborhood meets block i
     reach: list[int] = []
@@ -487,24 +486,19 @@ def brute_force_phi(graph: Graph, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> SolveRe
 
     def descend(v: int, live: int) -> bool:
         """Color v.., with `live` the vertices of slack >= 0; True at the
-        first accepted leaf, with colors holding it."""
+        first accepted leaf, with block_masks holding it. At v == n the
+        prune is the leaf test: no vertex is unassigned, so it asks each
+        block for a member whose closed neighborhood meets k blocks."""
         nonlocal nodes
         nodes += 1
-        b = len(block_masks)
-        # implied by the potential prune below: every pot(u) is at most
-        # b + (n - v), so live is empty once this holds and b >= 1. It stays
-        # as an O(1) pre-check, and at v == n it is the b == k condition
-        if b + n - v < k:
-            return False
-        if v == n:
-            dom = reduce(and_, reach)
-            return all(bm & dom for bm in block_masks)
         # block i can still gain only the unassigned vertices outside the
         # open neighborhoods of its members, which reach[i] holds
         unassigned = everyone >> v << v
         for bm, seen in zip(block_masks, reach):
             if not (bm | (unassigned & ~seen)) & live:
                 return False
+        if v == n:
+            return True
         vbit = 1 << v
         adj_v = adj[v]
         closed = adj_v | vbit
@@ -520,7 +514,6 @@ def brute_force_phi(graph: Graph, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> SolveRe
                 slack[u] -= 1
                 if slack[u] < 0:
                     child_live &= ~(1 << u)
-            colors[v] = i
             block_masks[i] = bm | vbit
             reach[i] = seen | closed
             if descend(v + 1, child_live):
@@ -529,15 +522,13 @@ def brute_force_phi(graph: Graph, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> SolveRe
             block_masks[i] = bm
             for u in lost:
                 slack[u] += 1
-        if b < k:
-            colors[v] = b
+        if len(block_masks) < k:
             block_masks.append(vbit)
             reach.append(closed)
             if descend(v + 1, live):
                 return True
             reach.pop()
             block_masks.pop()
-        colors[v] = -1
         return False
 
     # descend recurses once per vertex: room for its frames, as in
@@ -555,8 +546,8 @@ def brute_force_phi(graph: Graph, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> SolveRe
             raise RuntimeError("internal error: no b-coloring found at any k >= 1")
     finally:
         sys.setrecursionlimit(limit)
-    certificate = Coloring.from_sequence(colors)
-    if not is_b_coloring(graph, certificate).valid:
+    certificate = Coloring.from_sequence(class_colors(block_masks, n))
+    if certificate.color_count != k or not is_b_coloring(graph, certificate).valid:
         raise RuntimeError("internal error: oracle certificate failed verification")
     return SolveResult(
         phi=k,
@@ -716,11 +707,7 @@ def _eliminate_undominated(
             if not any(_sees_all_colors(graph, classes, v) for v in bit_indices(cm)):
                 break
         else:
-            colors = [0] * len(adj)
-            for c, cm in enumerate(classes):
-                for v in bit_indices(cm):
-                    colors[v] = c
-            return Coloring(tuple(colors), len(classes))
+            return Coloring(tuple(class_colors(classes, len(adj))), len(classes))
         for v in bit_indices(classes.pop(i)):
             steps[0] += 1
             closed = adj[v] | (1 << v)

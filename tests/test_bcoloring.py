@@ -17,6 +17,7 @@ from bkneser import (
     exact_phi,
     is_b_coloring,
 )
+from bkneser.bcoloring import class_colors, class_masks
 from bkneser.formats import proof_analysis_dict
 
 from oracles import (
@@ -56,6 +57,12 @@ class TestColoring:
             if c == len(first_seen):
                 first_seen.append(v)
         assert first_seen == sorted(first_seen)
+
+    @given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=12))
+    def test_class_colors_inverts_class_masks(self, labels):
+        c = Coloring.from_sequence(labels)
+        masks = class_masks(c.colors, c.color_count)
+        assert class_colors(masks, len(c)) == list(c.colors)
 
 
 class TestIsProper:
@@ -297,6 +304,57 @@ class TestAnalyzeProofStructure:
             (ProofStep.CORE_DISJOINTNESS, "cores of classes 1 and 2 share {3,4}"),
             (ProofStep.INJECTION_INJECTIVE, "core minima collide: [1, 1, 2]"),
         ]
+
+    @pytest.mark.parametrize(
+        "subsets,expected",
+        [
+            (
+                [0, 0, 0],
+                [
+                    (
+                        ProofStep.NONINTERSECTING_CLASS_SIZE,
+                        f"non-intersecting class {c} has only 1 members",
+                    )
+                    for c in range(3)
+                ]
+                + [
+                    (
+                        ProofStep.COUNTING_INEQUALITY,
+                        "3 classes exceed (|V|+2|I|)/3 = 1",
+                    ),
+                    (ProofStep.GLOBAL_UPPER_BOUND, "3 classes exceed (|V|+2N)/3 = 7/3"),
+                ],
+            ),
+            (
+                [1, 1, 1],
+                [
+                    (
+                        ProofStep.CORE_DISJOINTNESS,
+                        f"cores of classes {a} and {b} share {{1}}",
+                    )
+                    for a, b in ((0, 1), (0, 2), (1, 2))
+                ]
+                + [
+                    (ProofStep.INJECTION_INJECTIVE, "core minima collide: [1, 1, 1]"),
+                    (
+                        ProofStep.FAMILY_SIZE_BOUND,
+                        "3 intersecting classes exceed ground size 2",
+                    ),
+                    (ProofStep.GLOBAL_UPPER_BOUND, "3 classes exceed (|V|+2N)/3 = 7/3"),
+                ],
+            ),
+        ],
+        ids=["empty-cores", "one-shared-core"],
+    )
+    def test_failures_name_the_counting_steps(self, k3, subsets, expected):
+        # forged as above, on K_3 over a ground set of two: empty cores make
+        # singleton non-intersecting classes, and three classes exceed both
+        # counting bounds; three cores {1} make a family larger than the ground
+        forged = Graph(k3.masks, subsets, KneserParams(1, 0))
+        analysis = analyze_proof_structure(
+            KneserParams(1, 0), forged, Coloring.from_sequence([0, 1, 2])
+        )
+        assert [(f.step, f.detail) for f in analysis.failures] == expected
 
     def test_proof_step_names_are_stable(self):
         assert {s.value for s in ProofStep} == {

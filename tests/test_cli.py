@@ -223,6 +223,35 @@ def _line_loop(text):
     return _dimacs_read(line for line in io.StringIO(text, newline=None))
 
 
+def _utf8_outcomes(path):
+    """What `load_graph` and the line loop alone make of a graph file, in a
+    child in UTF-8 mode, so that decoding does not follow the locale: the
+    masks, or the name and message of what was raised. Then the exit code
+    and standard error of `verify` of that file, in UTF-8 mode too."""
+    script = (
+        "import json, sys\n"
+        "from bkneser.formats import _dimacs_read_lines, load_graph\n"
+        "def outcome(read):\n"
+        "    try:\n"
+        "        return read().masks\n"
+        "    except Exception as exc:\n"
+        "        return [type(exc).__name__, str(exc)]\n"
+        "with open(sys.argv[1]) as lines:\n"
+        "    loop = outcome(lambda: _dimacs_read_lines(lines))\n"
+        "print(json.dumps([outcome(lambda: load_graph(sys.argv[1])), loop]))\n"
+    )
+    env = dict(os.environ, PYTHONUTF8="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(path)],
+        env=dict(env, PYTHONPATH=SRC), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, loop = json.loads(proc.stdout)
+    (path.parent / "c.json").write_text(_certificate())
+    verify = run_cli(["verify", path.name, "c.json"], cwd=path.parent, env=env)
+    return loaded, loop, (verify.returncode, verify.stderr)
+
+
 def _reverse_line(line):
     e, u, v = line.split()
     return f"{e} {v} {u}\n"
@@ -406,28 +435,25 @@ class TestDimacsReader:
         data[digit] = 0xFF
         path = tmp_path / "g.col"
         path.write_bytes(data)
-        script = (
-            "import json, sys\n"
-            "from bkneser.formats import _dimacs_read, load_graph\n"
-            "def outcome(read):\n"
-            "    try:\n"
-            "        return read().masks\n"
-            "    except Exception as exc:\n"
-            "        return [type(exc).__name__, str(exc)]\n"
-            "with open(sys.argv[1]) as lines:\n"
-            "    loop = outcome(lambda: _dimacs_read(line for line in lines))\n"
-            "print(json.dumps([outcome(lambda: load_graph(sys.argv[1])), loop]))\n"
-        )
-        env = dict(os.environ, PYTHONUTF8="1", PYTHONPATH=SRC)
-        proc = subprocess.run(
-            [sys.executable, "-c", script, str(path)],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        loaded, loop = json.loads(proc.stdout)
+        loaded, loop, verify = _utf8_outcomes(path)
         assert loop[0] == "UnicodeDecodeError"
         assert "can't decode byte 0xff" in loop[1]
         assert loaded == loop
+        assert verify == (EXIT_USAGE, f"error: {loop[1]}\n")
+
+    def test_count_too_long_for_int_fails_as_in_the_line_loop(self, tmp_path):
+        # int() refuses the 5,000-digit count in the comparison; the line
+        # loop then reads the file from its start, as it reads it alone,
+        # where going on after the `p` line would reject the first edge line
+        # as coming before it
+        text = dimacs_dumps(build_graph(KneserParams(2, 3)))
+        text = text.replace("p edge 21 ", f"p edge {'9' * 5000} ")
+        path = _graph_file(tmp_path, text)
+        loaded, loop, verify = _utf8_outcomes(path)
+        assert loop[0] == "ValueError"
+        assert loop[1].startswith("Exceeds the limit (4300"), loop
+        assert loaded == loop
+        assert verify == (EXIT_USAGE, f"error: {loop[1]}\n")
 
     def test_tag_disagreeing_with_the_p_line_builds_nothing(self, tmp_path):
         # KG(23,5) would take 0.5 s and over 150 MB to build

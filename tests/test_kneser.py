@@ -194,3 +194,7 @@ def test_from_edges_rejects_bad_edges():
         Graph.from_edges(2, [(-1, 1)])
     assert Graph.from_edges(3, [(0, 1), (2, 1)]).masks == (0b010, 0b101, 0b010)
 
+
+def test_subset_labels_must_match_the_vertex_count():
+    with pytest.raises(ValueError, match="^subset labels do not match vertex count$"):
+        Graph([0b10, 0b01], [0b011])
