@@ -40,32 +40,18 @@ tried below the root does, so a node budget also bounds the tuples refuted
 at the root: propagation refutes most tuples there, and a budget that let
 them through free would not bound the work of a solve.
 
-On a Kneser graph (one carrying both `params` and `subsets`) the symmetric
-group on the ground set acts on the graph by automorphisms. An automorphism s
-maps a b-coloring with dominator system D to one with dominator system s(D),
-so refuting one tuple from each orbit of k-sets of vertices refutes k.
-- On KG(N, 2) with N <= 8, for k up to the best closed-form bound (every k
-  that exact_phi tests), the tuples are exactly one per orbit: the
-  representatives of the committed table of `orbits` (a k-set of vertices is
-  a graph with k edges on the ground set, its orbit an isomorphism class).
-  The tests check each level of the table against the orbit count from
-  Burnside's lemma and check its members pairwise non-isomorphic, so they
-  meet every orbit.
-- On other Kneser graphs, and above the table's top level, the tuples are cut
-  by orbital branching (Ostrowski, Linderoth, Rossi & Smriglio, Math.
-  Programming 126, 2011). Let S_0 be the subset of vertex 0 and, for
-  t = 0..n-1, let O_t be the vertices y with |S_y & S_0| = t and r_t the
-  least-index vertex of O_t. For a tuple containing 0, let t* be the least
-  |S_y & S_0| over its other vertices y; the tuple is kept when it also
-  contains r_{t*}. For k = 1 the only tuple is (0,). Branch t of the orbital
-  tree holds the kept tuples with t* = t. This loses no coloring. The group
-  is transitive on the vertices, so some automorphism s maps an element of a
-  dominator system D to 0. Let t* be the least |S_y & S_0| over the other
-  elements y of s(D). The stabilizer of vertex 0 permutes S_0 and its
-  complement separately, so its orbits on the other vertices are exactly
-  O_0..O_{n-1}, and some u in it maps one such y to r_{t*}. u keeps every
-  intersection size with S_0, so us(D) contains 0 and r_{t*} and its least
-  intersection size is still t*: it is a kept tuple.
+On a Kneser graph (one carrying `params`) the symmetric group on the ground
+set acts on the graph by automorphisms. An automorphism s maps a b-coloring
+with dominator system D to one with dominator system s(D), so refuting one
+tuple from each orbit of k-sets of vertices refutes k. On KG(N, 2) with
+N <= 8, for k up to the best closed-form bound (every k that exact_phi
+tests), the tuples are exactly one per orbit: the representatives of the
+committed table of `orbits` (a k-set of vertices is a graph with k edges on
+the ground set, its orbit an isomorphism class). The tests check each level
+of the table against the orbit count from Burnside's lemma and check its
+members pairwise non-isomorphic, so they meet every orbit. Every other
+Kneser graph, and every k above the table's top level, gets the seed tuples
+of a plain graph.
 
 The brute-force oracle is an independent check: it enumerates canonical
 colorings (restricted-growth strings) and shares no seed tuples, forced
@@ -100,7 +86,7 @@ import time
 from functools import reduce
 from itertools import combinations
 from operator import or_
-from typing import Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .bcoloring import Coloring, _sees_all_colors, class_colors, is_b_coloring
 from .kneser import Graph, InstanceTooLarge, bit_indices
@@ -360,35 +346,19 @@ def _search_with_seeds(
     return class_colors(colored, len(adj))
 
 
-def _seed_tuples(graph: Graph, k: int) -> Iterator[tuple[int, ...]]:
+def _seed_tuples(graph: Graph, k: int) -> Iterable[tuple[int, ...]]:
     """The seed tuples, ascending within each, whose refutation refutes k
-    colors: every k-subset of the vertices of degree >= k-1, cut on Kneser
-    graphs to one per orbit or, outside the orbit table, to the kept tuples
-    of the module docstring, filtered from the unreduced ones in order."""
-    candidates = [v for v, d in enumerate(graph.degrees()) if d >= k - 1]
-    if graph.params is None or graph.subsets is None:
-        yield from combinations(candidates, k)
-        return
-    if not candidates or candidates[0] != 0:  # regular: all or none
-        return
-    # imported here, so that `python -m bkneser.orbits` finds it unimported
-    from .orbits import representatives
+    colors: one per orbit from the table of `orbits` where it has the level,
+    and otherwise every k-subset of the vertices of degree >= k-1."""
+    if graph.params is not None:
+        # imported here, so that `python -m bkneser.orbits` finds it unimported
+        from .orbits import representatives
 
-    orbits = representatives(graph.params.ground_size, graph.params.n, k)
-    if orbits is not None:
-        yield from orbits
-        return
-    if k == 1:
-        yield (0,)
-        return
-    base = graph.subsets[0]
-    meet = [(s & base).bit_count() for s in graph.subsets]
-    first = {meet[v]: v for v in reversed(candidates[1:])}  # t -> r_t
-    # in the lexicographic order of the unreduced search, so the search
-    # reaches each kept tuple after no more nodes than the unreduced one does
-    for rest in combinations(candidates[1:], k - 1):
-        if first[min(meet[v] for v in rest)] in rest:
-            yield (0, *rest)
+        orbits = representatives(graph.params.ground_size, graph.params.n, k)
+        if orbits is not None:
+            return orbits
+    candidates = [v for v, d in enumerate(graph.degrees()) if d >= k - 1]
+    return combinations(candidates, k)
 
 
 def feasible_b_coloring(

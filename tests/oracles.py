@@ -2,7 +2,7 @@
 
 Deliberately naive: plain sets and unpruned restricted-growth-string
 enumeration, sharing no code or data structures with the package under test.
-The exceptions are seven earlier versions of package code. One is
+The exceptions are six earlier versions of package code. One is
 `reference_search_with_seeds`, the exact search's kernel as it was before its
 per-vertex checks were hoisted out of the color loop and before it propagated
 forced witnesses at the root: it runs on the package's budget tracker, so that
@@ -26,20 +26,16 @@ The sixth is `reference_heuristic_b_coloring`, the heuristic as it was when
 it tried a seeded candidate for every k from the upper bound down while k
 exceeded the best count: it uses the package's candidates, elimination and
 verifier, so that both schedules can be compared certificate for
-certificate. The seventh is `reference_seed_tuples`, the orbital-branching
-seed tuples as they were when each branch had its own generator and
-`heapq.merge` put them in order: it uses the package's orbit table, so that
-both can be compared tuple for tuple.
+certificate.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
 from functools import reduce
 from itertools import combinations
 from operator import and_, or_
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from bkneser.bcoloring import BColoringFailure, Coloring, class_masks, is_b_coloring
 from bkneser.formats import _KNESER_COMMENT, _PROBLEM_LINE, _kneser_counts_are
@@ -50,7 +46,6 @@ from bkneser.kneser import (
     build_graph,
     check_enumeration_cap,
 )
-from bkneser.orbits import representatives
 from bkneser.solver import (
     _CLOCK_EVERY,
     _BudgetTracker,
@@ -505,44 +500,6 @@ def reference_heuristic_b_coloring(
         stats=SolveStats(steps[0], time.perf_counter() - start, "heuristic"),
         exact=False,
     )
-
-
-def reference_seed_tuples(graph: Graph, k: int) -> Iterator[tuple[int, ...]]:
-    """The seed tuples, ascending within each, whose refutation refutes k
-    colors: every k-subset of the vertices of degree >= k-1, cut on Kneser
-    graphs to one per orbit or to the kept tuples of the `bkneser.solver`
-    module docstring."""
-    candidates = [v for v, d in enumerate(graph.degrees()) if d >= k - 1]
-    if graph.params is None or graph.subsets is None:
-        yield from combinations(candidates, k)
-        return
-    if not candidates or candidates[0] != 0:  # regular: all or none
-        return
-    orbits = representatives(graph.params.ground_size, graph.params.n, k)
-    if orbits is not None:
-        yield from orbits
-        return
-    if k == 1:
-        yield (0,)
-        return
-
-    def branch(rep: int, others: list[int]) -> Iterator[tuple[int, ...]]:
-        for tail in combinations(others, k - 2):
-            yield tuple(sorted((0, rep, *tail)))
-
-    base = graph.subsets[0]
-    meet = [(s & base).bit_count() for s in graph.subsets]
-    rest = candidates[1:]
-    branches = []
-    for t in range(graph.params.n):
-        rep = next((v for v in rest if meet[v] == t), None)
-        if rep is not None:
-            branches.append(branch(rep, [v for v in rest if v != rep]))
-            rest = [v for v in rest if meet[v] != t]
-    # Merged into the lexicographic order of the unreduced search, so the
-    # search reaches each kept tuple after no more nodes than the unreduced
-    # one does; the order changes no refutation count.
-    yield from heapq.merge(*branches)
 
 
 def reference_dimacs_read_lines(lines: Iterable[str]) -> Graph:

@@ -2,7 +2,7 @@ import json
 import time
 from functools import partial, reduce
 from importlib import resources
-from itertools import combinations, islice
+from itertools import combinations
 from operator import or_
 
 import pytest
@@ -35,7 +35,6 @@ from oracles import (
     reference_eliminate_undominated,
     reference_heuristic_b_coloring,
     reference_search_with_seeds,
-    reference_seed_tuples,
     reference_seeded_proper,
 )
 from bkneser.reproduce import SMALL_KNESER_PARAMS, erdos_renyi_graph, load_seed_entries
@@ -267,39 +266,14 @@ class TestKneserReduction:
         "params", [KneserParams(3, 0), KneserParams(3, 1), KneserParams(1, 3)]
     )
     def test_seed_tuples_follow_definition(self, params):
-        # kept: 0 and r_t for the least intersection size t of the others,
-        # listed in the lexicographic order of the unreduced search
+        # a plain graph's tuples: every k-subset of the vertices of degree
+        # >= k-1, listed in lexicographic order
         kg = build_graph(params)
-        base = kg.subsets[0]
-        meet = [(s & base).bit_count() for s in kg.subsets]
-        first = {}
-        for v in range(kg.vertex_count - 1, 0, -1):
-            first[meet[v]] = v
-        for m in range(1, kg.degrees()[0] + 2):
-            expected = [
-                c
-                for c in combinations(range(kg.vertex_count), m)
-                if c[0] == 0 and (m == 1 or first[min(meet[v] for v in c[1:])] in c)
-            ]
+        top = kg.degrees()[0] + 1
+        for m in range(1, kg.vertex_count + 1):
+            expected = list(combinations(range(kg.vertex_count), m)) if m <= top else []
             assert list(_seed_tuples(kg, m)) == expected, m
-        assert list(_seed_tuples(kg, kg.degrees()[0] + 2)) == []
-        assert list(_seed_tuples(_stripped(kg), 2)) == list(
-            combinations(range(kg.vertex_count), 2)
-        )
-
-    # KG(9,3), KG(10,3), KG(11,3) and KG(10,4): outside the orbit table
-    @pytest.mark.parametrize(
-        "params",
-        [KneserParams(3, 3), KneserParams(3, 4), KneserParams(3, 5), KneserParams(4, 2)],
-        ids=str,
-    )
-    def test_seed_tuples_match_the_reference(self, params):
-        # the filter against the per-branch generators merged by heapq.merge,
-        # which share no code with the kept-tuple formula
-        kg = build_graph(params)
-        for m in range(1, kg.degrees()[0] + 3):
-            expected = list(islice(reference_seed_tuples(kg, m), 20_000))
-            assert list(islice(_seed_tuples(kg, m), 20_000)) == expected, m
+            assert list(_seed_tuples(_stripped(kg), m)) == expected, m
 
     def test_reduction_halves_refutation_nodes(self):
         kg = build_graph(KneserParams(2, 2))  # KG(6,2): 7 colors are refuted
@@ -335,7 +309,8 @@ def _committed(name):
 
 
 def _digits(text):
-    return tuple(int(c) for c in text)
+    """Certificate colors written one hex digit to a vertex."""
+    return tuple(int(c, 16) for c in text)
 
 
 class TestPinnedOutputs:
@@ -395,6 +370,38 @@ class TestPinnedOutputs:
         assert (exc.tested_k, exc.lower_bound, exc.upper_bound) == (13, 6, 13)
         assert exc.nodes_explored == 30_001
         assert exc.certificate.colors == _digits("0001112221333124441235551234")
+
+    def test_exact_kg73(self):
+        # off the orbit table: every seed tuple of a plain graph
+        result = exact_phi(build_graph(KneserParams(3, 1)))
+        assert (result.phi, result.infeasible_at) == (5, ())
+        assert result.stats.nodes_explored == 160_409
+        assert result.certificate.colors == _digits("01234000001111100002133222232311314")
+
+    BRACKETS = {
+        KneserParams(4, 1): (
+            (6, 5, 6),
+            "0123044403343440000000333333333333311111111111111111111111111111"
+            "11113122222222222222222222222222222222322111111111111133300034",
+        ),
+        KneserParams(3, 5): (
+            (57, 12, 57),
+            "010230313240214233230050520336052435021113531452230789a4b0515235"
+            "334424305aa349521345007611033104213750134152189805b1a48870b16263"
+            "33442430576349521348b5b634aa07813467b",
+        ),
+    }
+
+    # KG(9,4) and KG(11,3): budget brackets off the orbit table
+    @pytest.mark.parametrize("params", list(BRACKETS), ids=str)
+    def test_budget_bracket_off_the_table(self, params):
+        with pytest.raises(BudgetExceeded) as info:
+            exact_phi(build_graph(params), budget=Budget(max_nodes=200_000))
+        exc = info.value
+        bracket, colors = self.BRACKETS[params]
+        assert (exc.tested_k, exc.lower_bound, exc.upper_bound) == bracket
+        assert exc.nodes_explored == 200_001
+        assert exc.certificate.colors == _digits(colors)
 
 
 def _trace_tuples(kernel, graph, k, budget, expired=False):
