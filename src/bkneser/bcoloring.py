@@ -10,10 +10,11 @@ counting chain that bounds the number of classes.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from functools import reduce
-from itertools import islice
-from operator import and_
+from itertools import accumulate, islice
+from operator import and_, or_
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .kneser import Graph, KneserParams, bit_indices
@@ -163,6 +164,7 @@ def class_core(members: Iterable[int]) -> int:
 
 class ProofStep(str, Enum):
     CORE_DISJOINTNESS = "core_disjointness"
+    CORE_AVOIDANCE = "core_avoidance"
     INJECTION_INJECTIVE = "injection_injective"
     FAMILY_SIZE_BOUND = "family_size_bound"
     NONINTERSECTING_CLASS_SIZE = "nonintersecting_class_size"
@@ -215,6 +217,9 @@ def analyze_proof_structure(
 
     - per-class cores and dominating witnesses;
     - cores of distinct intersecting classes are pairwise disjoint;
+    - every dominating witness misses the core of every other class, so the
+      classes with an empty core number at most C(|Y|, n), where Y is the
+      set of ground elements outside every core;
     - mapping each intersecting class to the minimum of its core is injective,
       so the intersecting family has at most 2n+k classes;
     - every class with empty core has at least three members;
@@ -259,6 +264,36 @@ def analyze_proof_structure(
                         f"cores of classes {c1} and {c2} share {{{elements}}}",
                     )
                 )
+
+    # the union of the cores of the classes before c, and of those after it
+    cores = [ca.core for ca in classes]
+    before = list(accumulate(cores, or_, initial=0))
+    after = list(accumulate(reversed(cores), or_, initial=0))[::-1]
+    for ca in classes:
+        others = before[ca.color] | after[ca.color + 1]
+        for w in ca.dominating:
+            shared = graph.subsets[w] & others
+            if shared:
+                elements = ",".join(str(e + 1) for e in bit_indices(shared))
+                failures.append(
+                    ProofCheckFailure(
+                        ProofStep.CORE_AVOIDANCE,
+                        f"dominating vertex {w} of class {ca.color} meets "
+                        f"another class's core at {{{elements}}}",
+                    )
+                )
+                break
+    outside = (~before[-1] & ((1 << params.ground_size) - 1)).bit_count()
+    empty = sum(ca.non_intersecting for ca in classes)
+    room = math.comb(outside, params.n)
+    if empty > room:
+        failures.append(
+            ProofCheckFailure(
+                ProofStep.CORE_AVOIDANCE,
+                f"{empty} classes with an empty core exceed "
+                f"C({outside}, {params.n}) = {room}",
+            )
+        )
 
     # a core's minimum element is its lowest set bit, 1-indexed
     injection = {c: (classes[c].core & -classes[c].core).bit_length() for c in family}

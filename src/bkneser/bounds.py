@@ -1,13 +1,49 @@
 """Closed-form upper bounds on the b-chromatic number of KG(2n+k, n).
 
-Three bounds are tracked, all in exact arithmetic:
+Four bounds are tracked, all in exact arithmetic:
 
 - regular bound d+1, valid for any d-regular graph;
 - the d-i bound: if |V| <= 2d+2-2i for an integer i >= 0 then phi <= d-i,
   which simplifies to ceil((|V|-2)/2); stated for n >= 2, so the hypothesis
   flag is tracked separately from the arithmetic condition;
 - the counting bound U = (|V| + 2(2n+k))/3, kept as an exact rational whose
-  floor is the usable integer bound.
+  floor is the usable integer bound;
+- the core-avoidance bound, which takes the counting argument one step
+  further (`core_bound`).
+
+Core avoidance. Take a b-coloring of KG(N, n), N = 2n+k, and call the
+intersection of a class's members its core. A dominator of class C contains
+C's core and is disjoint from some member of every other class C', so it
+misses the core of C'; so the cores of C and C' are disjoint. If i classes
+have a nonempty core, their union X thus has |X| >= i. A class with an
+empty core has a dominator missing every core, an n-subset of Y = [N] - X,
+and distinct classes have distinct dominators, so the t empty-core classes
+number at most C(N-i, n). Each of them holds at least 3 members, as one or two pairwise
+meeting n-sets share a point, so 3t + i <= |V|, the source paper's count.
+Therefore phi = i + t <= max over 0 <= i <= N of
+min(i + C(N-i, n), i + floor((|V|-i)/3)).
+
+For n = 2 a class is a set of pairwise meeting edges of K_N: a single edge,
+whose core is its 2 points; a star of two or more edges, whose core is its
+center; or a triangle, whose core is empty. Let there be i1 single edges, i2
+stars, t triangles and S star edges, so |X| = 2i1 + i2. A triangle's
+dominator lies inside Y, so no triangle has an edge inside X; a star's
+dominator runs from its center to Y. Every edge lies in one class, so
+C(N,2) = i1 + S + 3t, and 3phi = C(N,2) + 2i1 + 3i2 - S. Each star has at
+least 2 edges, and the stars cover every edge inside X but the single edges,
+plus a dominator edge each leaving X, so
+S >= max(2i2, C(2i1+i2, 2) - i1 + i2). With m = 2i1 + i2 the surplus
+2i1 + 3i2 - S is at most min(m, m + (i1+i2) - C(m,2)) <= min(m, m(5-m)/2),
+which is at most 3, and 3 only at m = 3 with i1 + i2 = 3: i1 = 0, i2 = 3,
+each star one edge inside X plus one edge to Y. Then each center's other
+|Y|-1 edges to Y lie in triangles, two to a triangle, so N = |Y| + 3 is
+even. So phi <= floor(C(N,2)/3) + 1, and phi <= floor(C(N,2)/3) when N is
+odd and 3 divides C(N,2), that is N = 1, 3 (mod 6). A Steiner triple
+system reaches that value, its triangles taken as classes: a triangle other
+than the one holding the edge ab has an edge missing a and b. Javadi &
+Omoomi (On b-coloring of the Kneser graphs, Discrete Math. 309, 2009) treat
+b-colorings of KG(N,2) and are the prior work to compare this n = 2 form
+against.
 """
 
 from __future__ import annotations
@@ -51,9 +87,14 @@ class BoundsReport(NamedTuple):
         return self.bk.value if self.bk.applicable and self.bk.hypothesis_met else None
 
     @property
+    def core(self) -> int:
+        """The core-avoidance bound (`core_bound`)."""
+        return core_bound(self.params)
+
+    @property
     def best(self) -> int:
         """The least usable bound."""
-        bounds = (self.regular_bound, self.u_floor, self.bk_value)
+        bounds = (self.regular_bound, self.u_floor, self.bk_value, self.core)
         return min(b for b in bounds if b is not None)
 
 
@@ -85,6 +126,37 @@ def u_bound(params: KneserParams) -> UBound:
     """Counting bound (|V| + 2(2n+k)) / 3 as an exact rational plus its floor."""
     exact = Fraction(params.vertex_count + 2 * params.ground_size, 3)
     return UBound(exact, math.floor(exact))
+
+
+def core_bound(params: KneserParams) -> int:
+    """The core-avoidance bound: the max over i of
+    min(i + C(N-i, n), i + floor((|V|-i)/3)), and for n = 2 also its closed
+    form floor(C(N,2)/3) + 1, less one when N = 1, 3 (mod 6).
+
+    On 0 <= i <= N-n the first term never rises and the second never falls,
+    and above N-n the first is i, at most the second; so the maximum is at
+    their crossing or at i = N, where it is N. A binary search finds the
+    least i with first <= second, which exists as i = N-n+1 qualifies.
+    """
+    ground, n, v = params.ground_size, params.n, params.vertex_count
+
+    def first(i: int) -> int:
+        return i + math.comb(ground - i, n)
+
+    def second(i: int) -> int:
+        return i + (v - i) // 3
+
+    lo, hi = 0, ground - n + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if first(mid) <= second(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    bound = max(ground, first(lo), second(lo - 1) if lo else 0)
+    if n == 2:
+        bound = min(bound, v // 3 + (ground % 6 not in (1, 3)))
+    return bound
 
 
 def best_upper_bound(params: KneserParams) -> BoundsReport:

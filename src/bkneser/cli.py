@@ -140,7 +140,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         else:
             header = (
                 f"{'k':>4} {'|V|':>12} {'d':>10} {'regular':>8} {'bk':>8} "
-                f"{'u_floor':>8} {'best':>8}  ratios 2N/V, d/V"
+                f"{'u_floor':>8} {'core':>8} {'best':>8}  ratios 2N/V, d/V"
             )
             print(header)
             for r in rows:
@@ -148,7 +148,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
                 bk = "-" if r.bk_value is None else str(r.bk_value)
                 print(
                     f"{p.k:>4} {p.vertex_count:>12} {p.degree:>10} "
-                    f"{r.regular_bound:>8} {bk:>8} {r.u_floor:>8} {r.best:>8}  "
+                    f"{r.regular_bound:>8} {bk:>8} {r.u_floor:>8} {r.core:>8} "
+                    f"{r.best:>8}  "
                     f"{formats.fraction_human(r.ratios.two_ground_over_v)}, "
                     f"{formats.fraction_human(r.ratios.degree_over_v)}"
                 )
@@ -178,6 +179,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         f"U bound: {formats.fraction_human(report.u_exact)}, "
         f"floor {report.u_floor}{sharp}"
     )
+    print(f"core-avoidance bound: {report.core}")
     print(f"best upper bound: {report.best}")
     return EXIT_OK
 

@@ -422,6 +422,7 @@ def bounds_report_dict(report: BoundsReport) -> dict[str, Any]:
             "floor": report.u_floor,
             "sharp_n1": params.n == 1,
         },
+        "core": report.core,
         "best": report.best,
         "ratios": {
             "two_ground_over_v": fraction_json(report.ratios.two_ground_over_v),
@@ -440,6 +441,7 @@ def scan_row_dict(report: BoundsReport) -> dict[str, Any]:
         "regular": report.regular_bound,
         "bk": report.bk_value,
         "u_floor": report.u_floor,
+        "core": report.core,
         "best": report.best,
         "ratio_2N_over_V": fraction_json(report.ratios.two_ground_over_v),
         "ratio_d_over_V": fraction_json(report.ratios.degree_over_v),

@@ -20,8 +20,8 @@ a node.
 
 Labeling from the last cell gives the points that meet the most subsets the
 smallest labels, so a form sits on the first vertices of KG(N, n), which the
-exact search colors first. On KG(7,2) its refutations (k = 8, 9, 10) then
-take 6,978 nodes; labeling from the first cell, they take 13,486.
+exact search colors first. On KG(8,2) its refutation of k = 10 then takes
+96,336 nodes; labeling from the first cell, it takes 657,700.
 
 Generation: level j+1 is the set of the forms of the children X + e of the
 level-j forms X. Every (j+1)-set Y is such a child up to isomorphism: Y less
@@ -53,7 +53,7 @@ from .bounds import best_upper_bound
 from .kneser import KneserParams, bit_indices, enumerate_vertices
 
 # the (N, n) that data/orbits.json holds: KG(N, 2) for N = 4..8. KG(9,2)
-# would need 120,313 representatives.
+# would need 12,255 representatives, its Burnside counts for levels 1..12.
 TABLED = frozenset((ground, 2) for ground in range(4, 9))
 
 Family = tuple[int, ...]

@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from importlib import resources
 from itertools import permutations
 
 import pytest
@@ -18,7 +20,7 @@ from bkneser import (
     is_b_coloring,
 )
 from bkneser.bcoloring import class_colors, class_masks
-from bkneser.formats import proof_analysis_dict
+from bkneser.formats import certificate_from_dict, proof_analysis_dict
 
 from oracles import (
     adjacency_sets,
@@ -291,6 +293,16 @@ class TestAnalyzeProofStructure:
         assert analysis.ok
         assert analysis.counting.color_count == 2
 
+    def test_kg82_certificate_fills_the_room_outside_the_cores(self):
+        # the cores {5}, {6} and {7,8} leave Y = {1,2,3,4}, and the six
+        # triangles' dominators take all C(4, 2) = 6 pairs of it
+        doc = resources.files("bkneser.data").joinpath("kg_2_4_phi9.json").read_text()
+        coloring, params, _ = certificate_from_dict(json.loads(doc))
+        analysis = analyze_proof_structure(params, build_graph(params), coloring)
+        assert analysis.ok
+        cores = sorted(ca.core for ca in analysis.classes)
+        assert cores == [0] * 6 + [0b10000, 0b100000, 0b11000000]
+
     def test_failures_name_the_shared_core(self, k3):
         # no b-coloring of a Kneser graph fails a step, so the labels are
         # forged: K_3 with the pairwise-meeting cores {1,2,3}, {2,3,4}, {1,3,4}
@@ -302,6 +314,18 @@ class TestAnalyzeProofStructure:
             (ProofStep.CORE_DISJOINTNESS, "cores of classes 0 and 1 share {2,3}"),
             (ProofStep.CORE_DISJOINTNESS, "cores of classes 0 and 2 share {1,3}"),
             (ProofStep.CORE_DISJOINTNESS, "cores of classes 1 and 2 share {3,4}"),
+            (
+                ProofStep.CORE_AVOIDANCE,
+                "dominating vertex 0 of class 0 meets another class's core at {1,2,3}",
+            ),
+            (
+                ProofStep.CORE_AVOIDANCE,
+                "dominating vertex 1 of class 1 meets another class's core at {2,3,4}",
+            ),
+            (
+                ProofStep.CORE_AVOIDANCE,
+                "dominating vertex 2 of class 2 meets another class's core at {1,3,4}",
+            ),
             (ProofStep.INJECTION_INJECTIVE, "core minima collide: [1, 1, 2]"),
         ]
 
@@ -311,6 +335,12 @@ class TestAnalyzeProofStructure:
             (
                 [0, 0, 0],
                 [
+                    (
+                        ProofStep.CORE_AVOIDANCE,
+                        "3 classes with an empty core exceed C(2, 1) = 2",
+                    )
+                ]
+                + [
                     (
                         ProofStep.NONINTERSECTING_CLASS_SIZE,
                         f"non-intersecting class {c} has only 1 members",
@@ -335,6 +365,14 @@ class TestAnalyzeProofStructure:
                     for a, b in ((0, 1), (0, 2), (1, 2))
                 ]
                 + [
+                    (
+                        ProofStep.CORE_AVOIDANCE,
+                        f"dominating vertex {c} of class {c} meets another "
+                        "class's core at {1}",
+                    )
+                    for c in range(3)
+                ]
+                + [
                     (ProofStep.INJECTION_INJECTIVE, "core minima collide: [1, 1, 1]"),
                     (
                         ProofStep.FAMILY_SIZE_BOUND,
@@ -348,17 +386,33 @@ class TestAnalyzeProofStructure:
     )
     def test_failures_name_the_counting_steps(self, k3, subsets, expected):
         # forged as above, on K_3 over a ground set of two: empty cores make
-        # singleton non-intersecting classes, and three classes exceed both
-        # counting bounds; three cores {1} make a family larger than the ground
+        # singleton non-intersecting classes, more than the C(2, 1) subsets
+        # outside every core, and three classes exceed both counting bounds;
+        # three cores {1} make a family larger than the ground, and each
+        # class's witness meets the others' cores
         forged = Graph(k3.masks, subsets, KneserParams(1, 0))
         analysis = analyze_proof_structure(
             KneserParams(1, 0), forged, Coloring.from_sequence([0, 1, 2])
         )
         assert [(f.step, f.detail) for f in analysis.failures] == expected
 
+    def test_core_avoidance_counts_the_room_outside_every_core(self):
+        # forged: K_4 over a ground set of four, three classes with an empty
+        # core and one with the core {1,2,3}, which leaves Y = {4} room for
+        # one empty-core class's dominator
+        k4 = build_graph(KneserParams(1, 2))
+        forged = Graph(k4.masks, [0, 0, 0, 0b0111], KneserParams(1, 2))
+        analysis = analyze_proof_structure(
+            KneserParams(1, 2), forged, Coloring.from_sequence([0, 1, 2, 3])
+        )
+        assert [
+            f.detail for f in analysis.failures if f.step is ProofStep.CORE_AVOIDANCE
+        ] == ["3 classes with an empty core exceed C(1, 1) = 1"]
+
     def test_proof_step_names_are_stable(self):
         assert {s.value for s in ProofStep} == {
             "core_disjointness",
+            "core_avoidance",
             "injection_injective",
             "family_size_bound",
             "nonintersecting_class_size",

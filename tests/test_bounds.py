@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from bkneser import (
     regular_bound,
     u_bound,
 )
+from bkneser.bounds import core_bound
 
 
 def ceil_half(x: int) -> int:
@@ -98,11 +100,14 @@ class TestBestUpperBound:
         assert report.best == 5
 
     def test_u_wins_at_large_k(self):
+        # the counting bound beats the d-i and regular bounds; the
+        # core-avoidance bound beats all three
         report = best_upper_bound(KneserParams(2, 10))
         assert report.bk.value == 45
         assert report.u_floor == 39
         assert report.regular_bound == 67
-        assert report.best == 39
+        assert report.core == 31
+        assert report.best == 31
 
     def test_bk_excluded_when_hypothesis_fails(self):
         # for K_3 the arithmetic d-i value is 1 but must not shrink `best`
@@ -110,6 +115,92 @@ class TestBestUpperBound:
         assert report.bk.applicable and not report.bk.hypothesis_met
         assert report.bk.value == 1
         assert report.best == 3
+
+
+def core_by_loop(params):
+    """The core-avoidance bound's max over every i, without the search."""
+    ground, n, v = params.ground_size, params.n, params.vertex_count
+    return max(
+        min(i + math.comb(ground - i, n), i + (v - i) // 3) for i in range(ground + 1)
+    )
+
+
+def closed_form_n2(ground):
+    return math.comb(ground, 2) // 3 + (ground % 6 not in (1, 3))
+
+
+def surplus_optimum(ground):
+    """The most classes a b-coloring of KG(ground, 2) can have by the count
+    of edges: i1 single edges, i2 stars with at least
+    max(2i2, C(2i1+i2, 2) - i1 + i2) edges among them, and triangles on the
+    rest; three stars of two edges each leave an even ground set only."""
+    edges = math.comb(ground, 2)
+    best = 0
+    for i1 in range(ground // 2 + 1):
+        for i2 in range(ground - 2 * i1 + 1):
+            star_edges = max(2 * i2, math.comb(2 * i1 + i2, 2) - i1 + i2)
+            if (i1, i2, star_edges) == (0, 3, 6) and ground % 2:
+                star_edges += 1
+            triangles = (edges - i1 - star_edges) // 3
+            if triangles >= 0:
+                best = max(best, i1 + i2 + triangles)
+    return best
+
+
+# phi where the tests solve it exactly (test_solver, TestPinnedOutputs and
+# the oracle cross-checks): KG(5..8,2), KG(6,3), KG(7,3) and KG(8,4)
+KNOWN_PHI = {
+    KneserParams(2, 1): 3,
+    KneserParams(2, 2): 6,
+    KneserParams(2, 3): 7,
+    KneserParams(2, 4): 9,
+    KneserParams(3, 0): 2,
+    KneserParams(3, 1): 5,
+    KneserParams(4, 0): 2,
+}
+
+
+class TestCoreBound:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_search_equals_the_loop(self, n):
+        for ground in range(2 * n, 120):
+            params = KneserParams(n, ground - 2 * n)
+            expected = core_by_loop(params)
+            if n == 2:
+                expected = min(expected, closed_form_n2(ground))
+            assert core_bound(params) == expected, ground
+
+    def test_n2_closed_form_is_the_surplus_optimum(self):
+        for ground in range(4, 71):
+            assert closed_form_n2(ground) == surplus_optimum(ground), ground
+            assert closed_form_n2(ground) <= core_by_loop(KneserParams(2, ground - 4))
+
+    @pytest.mark.parametrize(
+        "ground,value", [(6, 6), (7, 7), (8, 10), (9, 12), (13, 26), (14, 31)]
+    )
+    def test_n2_values(self, ground, value):
+        # it is `best` on each, and tight on KG(6,2) and KG(7,2)
+        params = KneserParams(2, ground - 4)
+        assert core_bound(params) == best_upper_bound(params).best == value
+
+    @pytest.mark.parametrize("params", list(KNOWN_PHI), ids=str)
+    def test_best_is_at_least_phi(self, params):
+        assert best_upper_bound(params).best >= KNOWN_PHI[params]
+
+    def test_complete_graphs(self):
+        # K_N = KG(N, 1), whose phi is N
+        for k in range(0, 40):
+            params = KneserParams(1, k)
+            assert core_bound(params) == best_upper_bound(params).best == k + 2
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_best_never_exceeds_the_older_bounds(self, n):
+        for k in range(0, 101):
+            report = best_upper_bound(KneserParams(n, k))
+            older = (report.regular_bound, report.u_floor, report.bk_value)
+            assert report.best == min(
+                min(b for b in older if b is not None), report.core
+            )
 
 
 class TestAsymptoticTable:

@@ -276,19 +276,21 @@ class TestKneserReduction:
             assert list(_seed_tuples(_stripped(kg), m)) == expected, m
 
     def test_reduction_halves_refutation_nodes(self):
-        kg = build_graph(KneserParams(2, 2))  # KG(6,2): 7 colors are refuted
+        kg = build_graph(KneserParams(2, 1))  # Petersen: 4 colors are refuted
         nodes = []
         for g in (kg, _stripped(kg)):
             tracker = _BudgetTracker(Budget())
-            assert feasible_b_coloring(g, 7, _tracker=tracker) is None
+            assert feasible_b_coloring(g, 4, _tracker=tracker) is None
             nodes.append(tracker.nodes)
-        # one seed tuple per orbit, against every 7-subset of the vertices
-        assert nodes == [194, 21_650]
+        # one seed tuple per orbit, against every 4-subset of the vertices
+        assert nodes == [78, 1_232]
 
     def test_exact_matches_oracle_on_kg62(self, kg62, kg62_brute):
         exact, brute = exact_phi(kg62), kg62_brute
         assert exact.phi == brute.phi == 6
-        assert exact.infeasible_at == brute.infeasible_at == (7,)
+        # the exact search starts at the best closed-form bound, 6; the
+        # oracle starts at the degree bound, 7
+        assert (exact.infeasible_at, brute.infeasible_at) == ((), (7,))
 
     def test_committed_kg72_certificate(self):
         coloring, params, claimed = _committed("kg_2_3_phi7.json")
@@ -346,28 +348,28 @@ class TestPinnedOutputs:
 
     def test_exact_kg62(self, kg62):
         result = exact_phi(kg62)
-        assert (result.phi, result.infeasible_at) == (6, (7,))
-        assert result.stats.nodes_explored == 284
+        assert (result.phi, result.infeasible_at) == (6, ())
+        assert result.stats.nodes_explored == 75
         assert result.certificate.colors == _digits("012322141300554")
 
     def test_exact_kg72_within_30000_nodes(self):
         budget = Budget(max_nodes=30_000)
         result = exact_phi(build_graph(KneserParams(2, 3)), budget=budget)
-        assert (result.phi, result.infeasible_at) == (7, (8, 9, 10))
-        assert result.stats.nodes_explored == 7_054
+        assert (result.phi, result.infeasible_at) == (7, ())
+        assert result.stats.nodes_explored == 69
         assert result.certificate == _committed("kg_2_3_phi7.json")[0]
 
     def test_exact_kg82(self):
         result = exact_phi(build_graph(KneserParams(2, 4)))
-        assert (result.phi, result.infeasible_at) == (9, (10, 11, 12, 13))
-        assert result.stats.nodes_explored == 352_498
+        assert (result.phi, result.infeasible_at) == (9, (10,))
+        assert result.stats.nodes_explored == 104_034
         assert result.certificate == _committed("kg_2_4_phi9.json")[0]
 
     def test_budget_bracket_kg82(self):
         with pytest.raises(BudgetExceeded) as info:
             exact_phi(build_graph(KneserParams(2, 4)), budget=Budget(max_nodes=30_000))
         exc = info.value
-        assert (exc.tested_k, exc.lower_bound, exc.upper_bound) == (13, 6, 13)
+        assert (exc.tested_k, exc.lower_bound, exc.upper_bound) == (10, 6, 10)
         assert exc.nodes_explored == 30_001
         assert exc.certificate.colors == _digits("0001112221333124441235551234")
 
@@ -448,7 +450,10 @@ class TestKernelAgainstReference:
     def test_same_results_nodes_and_stops(self, make):
         graph = make()
         stops = 0
-        for k in range(1, degree_bound(graph) + 1):
+        # the k that exact_phi tests: on KG(7,2) those above its best bound,
+        # 7, would fall off the orbit table onto the plain graph's tuples,
+        # which the G(n, p) cases cover
+        for k in range(1, phi_upper_bound(graph) + 1):
             expected = _trace_tuples(reference_search_with_seeds, graph, k, Budget())
             full = _trace_tuples(_search_with_seeds, graph, k, Budget())
             assert [r for r, _ in full] == [r for r, _ in expected], k
@@ -659,12 +664,12 @@ class TestHeuristic:
         assert is_b_coloring(g, result.certificate).valid
 
     # (steps from phi_upper_bound, steps from degree_bound): from the bound,
-    # the seeded candidates of KG(12,2) at k = 30..28 and of KG(14,2) at
-    # k = 39..37 find no coloring; from the degree bound, those at k = 46 and
+    # the seeded candidates of KG(12,2) at k = 23..21 and of KG(14,2) at
+    # k = 31..29 find no coloring; from the degree bound, those at k = 46 and
     # 67 beat no largest-first coloring and the next three find none
     @pytest.mark.parametrize(
         "params,steps",
-        [(KneserParams(2, 8), (108, 264)), (KneserParams(2, 10), (145, 384))],
+        [(KneserParams(2, 8), (103, 264)), (KneserParams(2, 10), (139, 384))],
     )
     def test_phase_two_starts_at_the_upper_bound(self, params, steps, monkeypatch):
         g = build_graph(params)
