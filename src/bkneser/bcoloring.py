@@ -165,6 +165,7 @@ def class_core(members: Iterable[int]) -> int:
 class ProofStep(str, Enum):
     CORE_DISJOINTNESS = "core_disjointness"
     CORE_AVOIDANCE = "core_avoidance"
+    STAR_PARITY = "star_parity"
     INJECTION_INJECTIVE = "injection_injective"
     FAMILY_SIZE_BOUND = "family_size_bound"
     NONINTERSECTING_CLASS_SIZE = "nonintersecting_class_size"
@@ -210,6 +211,44 @@ class ProofAnalysis(NamedTuple):
         return not self.failures
 
 
+def _star_parity(
+    classes: list[ClassAnalysis], subsets: Sequence[int], y: int
+) -> list[ProofCheckFailure]:
+    """The parity step of the n = 2 bound (`bounds`), Y being the points
+    outside every core: an edge from a star's center to Y outside the star
+    lies in a triangle with two such edges, and so does every edge from a
+    single edge's point to Y; an edge joining two single edges would lie in
+    no class."""
+    outside = y.bit_count()
+    failures = []
+    pairs = [ca.color for ca in classes if ca.core.bit_count() == 2]
+    if len(pairs) > 1:
+        failures.append(
+            ProofCheckFailure(
+                ProofStep.STAR_PARITY, f"classes {pairs} have two-point cores"
+            )
+        )
+    if pairs and outside % 2:
+        failures.append(
+            ProofCheckFailure(
+                ProofStep.STAR_PARITY,
+                f"class {pairs[0]} has a two-point core but |Y| = {outside} is odd",
+            )
+        )
+    for ca in classes:
+        if ca.core.bit_count() == 1:
+            meeting = sum(1 for v in ca.members if subsets[v] & y)
+            if not meeting or (meeting - outside) % 2:
+                failures.append(
+                    ProofCheckFailure(
+                        ProofStep.STAR_PARITY,
+                        f"{meeting} members of class {ca.color} meet Y, "
+                        f"|Y| = {outside}",
+                    )
+                )
+    return failures
+
+
 def analyze_proof_structure(
     params: KneserParams, graph: Graph, coloring: Coloring
 ) -> ProofAnalysis:
@@ -220,6 +259,9 @@ def analyze_proof_structure(
     - every dominating witness misses the core of every other class, so the
       classes with an empty core number at most C(|Y|, n), where Y is the
       set of ground elements outside every core;
+    - for n = 2, the members of a class with a one-point core (a star) that
+      meet Y are at least one and of the parity of |Y|, and at most one
+      class has a two-point core (a single edge), only with |Y| even;
     - mapping each intersecting class to the minimum of its core is injective,
       so the intersecting family has at most 2n+k classes;
     - every class with empty core has at least three members;
@@ -283,7 +325,8 @@ def analyze_proof_structure(
                     )
                 )
                 break
-    outside = (~before[-1] & ((1 << params.ground_size) - 1)).bit_count()
+    y = ~before[-1] & ((1 << params.ground_size) - 1)
+    outside = y.bit_count()
     empty = sum(ca.non_intersecting for ca in classes)
     room = math.comb(outside, params.n)
     if empty > room:
@@ -294,6 +337,9 @@ def analyze_proof_structure(
                 f"C({outside}, {params.n}) = {room}",
             )
         )
+
+    if params.n == 2:
+        failures += _star_parity(classes, graph.subsets, y)
 
     # a core's minimum element is its lowest set bit, 1-indexed
     injection = {c: (classes[c].core & -classes[c].core).bit_length() for c in family}

@@ -40,7 +40,34 @@ each star one edge inside X plus one edge to Y. Then each center's other
 even. So phi <= floor(C(N,2)/3) + 1, and phi <= floor(C(N,2)/3) when N is
 odd and 3 divides C(N,2), that is N = 1, 3 (mod 6). A Steiner triple
 system reaches that value, its triangles taken as classes: a triangle other
-than the one holding the edge ab has an edge missing a and b. Javadi &
+than the one holding the edge ab has an edge missing a and b.
+
+Parity takes one more off when N = 2 (mod 6). Let s = 3phi - C(N,2) be the
+surplus and e_x the number of edges of the star at center x that run to Y.
+An edge from x to Y lies in no single edge, whose points are in X, and in no
+other star, as Y holds no center; so it lies in x's star or in a triangle,
+which has at most one point in X and so holds two edges from x to Y. Thus
+e_x >= 1, for the star's dominator, and e_x = |Y| (mod 2). A point a of a
+single edge is no center, so every edge from a to Y lies in a triangle at
+a, and |Y| is even; the edge joining two single edges would lie in no class,
+so i1 <= 1. The stars hold every edge inside X but the single edges, so
+S = C(m,2) - i1 + sum e_x and s = 3i1 + 3i2 - C(m,2) - sum e_x.
+Let N be even. If |Y| is even, each e_x >= 2, so s <= 3i1 + i2 - C(m,2),
+which is at most 1 for i1 = 0 and at most 2 for i1 = 1, with 2 only at
+i2 = 0. If |Y| is odd, then i1 = 0, i2 = N - |Y| is odd and every e_x is
+odd, so s <= 2i2 - C(i2,2) with s = 2i2 - C(i2,2) (mod 2); that leaves
+s = 2 only at i2 = 1, where the lone star has no edge inside X, so
+e_x >= 3 and s <= 0. So s = 2 needs one single edge ab, no star and |Y|
+even. Then the edges from a to Y pair off in triangles at a, whose third
+edges form a perfect matching of Y, and those at b form a second, disjoint
+one; the rest of Y's edges form a (|Y|-3)-regular graph that triangles
+inside Y split, so |Y| - 3 is even, against |Y| even. So s != 2 for even
+N. When N = 2 (mod 3), C(N,2) = 1 (mod 3) and s = 2 (mod 3), so for
+N = 2 (mod 6), s <= 3 and s != 2 leave s <= -1: phi <= floor(C(N,2)/3).
+N = 5 (mod 6) keeps its +1 against this argument: four stars on X, each
+with one edge to Y, have s = 12 - 6 - 4 = 2 with |Y| odd.
+
+So phi <= floor(C(N,2)/3) + 1, less one when N = 1, 2, 3 (mod 6). Javadi &
 Omoomi (On b-coloring of the Kneser graphs, Discrete Math. 309, 2009) treat
 b-colorings of KG(N,2) and are the prior work to compare this n = 2 form
 against.
@@ -131,7 +158,7 @@ def u_bound(params: KneserParams) -> UBound:
 def core_bound(params: KneserParams) -> int:
     """The core-avoidance bound: the max over i of
     min(i + C(N-i, n), i + floor((|V|-i)/3)), and for n = 2 also its closed
-    form floor(C(N,2)/3) + 1, less one when N = 1, 3 (mod 6).
+    form floor(C(N,2)/3) + 1, less one when N = 1, 2, 3 (mod 6).
 
     On 0 <= i <= N-n the first term never rises and the second never falls,
     and above N-n the first is i, at most the second; so the maximum is at
@@ -155,7 +182,7 @@ def core_bound(params: KneserParams) -> int:
             lo = mid + 1
     bound = max(ground, first(lo), second(lo - 1) if lo else 0)
     if n == 2:
-        bound = min(bound, v // 3 + (ground % 6 not in (1, 3)))
+        bound = min(bound, v // 3 + (ground % 6 not in (1, 2, 3)))
     return bound
 
 

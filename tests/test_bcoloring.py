@@ -295,13 +295,22 @@ class TestAnalyzeProofStructure:
 
     def test_kg82_certificate_fills_the_room_outside_the_cores(self):
         # the cores {5}, {6} and {7,8} leave Y = {1,2,3,4}, and the six
-        # triangles' dominators take all C(4, 2) = 6 pairs of it
+        # triangles' dominators take all C(4, 2) = 6 pairs of it; the stars
+        # at 5 and 6 each have two members meeting Y, {1,5}, {4,5} and
+        # {2,6}, {3,6}, and the single edge {7,8} goes with |Y| even
         doc = resources.files("bkneser.data").joinpath("kg_2_4_phi9.json").read_text()
         coloring, params, _ = certificate_from_dict(json.loads(doc))
-        analysis = analyze_proof_structure(params, build_graph(params), coloring)
+        graph = build_graph(params)
+        analysis = analyze_proof_structure(params, graph, coloring)
         assert analysis.ok
         cores = sorted(ca.core for ca in analysis.classes)
         assert cores == [0] * 6 + [0b10000, 0b100000, 0b11000000]
+        meeting = [
+            sum(1 for v in ca.members if graph.subsets[v] & 0b1111)
+            for ca in analysis.classes
+            if ca.core.bit_count() == 1
+        ]
+        assert meeting == [2, 2]
 
     def test_failures_name_the_shared_core(self, k3):
         # no b-coloring of a Kneser graph fails a step, so the labels are
@@ -409,10 +418,65 @@ class TestAnalyzeProofStructure:
             f.detail for f in analysis.failures if f.step is ProofStep.CORE_AVOIDANCE
         ] == ["3 classes with an empty core exceed C(1, 1) = 1"]
 
+    # forged labels of KG(N, 2); in the first three cases on three vertices
+    # whose one edge joins 0 and 1, colored [0, 1, 1]: class 0 is vertex 0
+    # alone, so its core has two points, and class 1's core is {3}
+    @pytest.mark.parametrize(
+        "ground,masks,colors,subsets,expected",
+        [
+            # Y = {4,5}: one member of the star meets it
+            (
+                5,
+                [0b010, 0b001, 0],
+                [0, 1, 1],
+                [0b00011, 0b01100, 0b00101],
+                [(ProofStep.STAR_PARITY, "1 members of class 1 meet Y, |Y| = 2")],
+            ),
+            # the star's members {1,3} and {2,3} miss Y = {4,5}, so its
+            # dominator meets the other core
+            (
+                5,
+                [0b010, 0b001, 0],
+                [0, 1, 1],
+                [0b00011, 0b00101, 0b00110],
+                [
+                    (
+                        ProofStep.CORE_AVOIDANCE,
+                        "dominating vertex 1 of class 1 meets another class's core at {1}",
+                    ),
+                    (ProofStep.STAR_PARITY, "0 members of class 1 meet Y, |Y| = 2"),
+                ],
+            ),
+            # Y = {4,5,6}: odd, beside a two-point core
+            (
+                6,
+                [0b010, 0b001, 0],
+                [0, 1, 1],
+                [0b000011, 0b001100, 0b000101],
+                [(ProofStep.STAR_PARITY, "class 0 has a two-point core but |Y| = 3 is odd")],
+            ),
+            # K_2 with the cores {1,2} and {3,4}, which leave Y = {5,6}
+            (
+                6,
+                [0b10, 0b01],
+                [0, 1],
+                [0b0011, 0b1100],
+                [(ProofStep.STAR_PARITY, "classes [0, 1] have two-point cores")],
+            ),
+        ],
+        ids=["star-parity", "star-misses-y", "single-edge", "two-single-edges"],
+    )
+    def test_star_parity_failures(self, ground, masks, colors, subsets, expected):
+        params = KneserParams(2, ground - 4)
+        forged = Graph(masks, subsets, params)
+        analysis = analyze_proof_structure(params, forged, Coloring.from_sequence(colors))
+        assert [(f.step, f.detail) for f in analysis.failures] == expected
+
     def test_proof_step_names_are_stable(self):
         assert {s.value for s in ProofStep} == {
             "core_disjointness",
             "core_avoidance",
+            "star_parity",
             "injection_injective",
             "family_size_bound",
             "nonintersecting_class_size",

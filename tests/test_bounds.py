@@ -106,8 +106,8 @@ class TestBestUpperBound:
         assert report.bk.value == 45
         assert report.u_floor == 39
         assert report.regular_bound == 67
-        assert report.core == 31
-        assert report.best == 31
+        assert report.core == 30
+        assert report.best == 30
 
     def test_bk_excluded_when_hypothesis_fails(self):
         # for K_3 the arithmetic d-i value is 1 but must not shrink `best`
@@ -126,25 +126,45 @@ def core_by_loop(params):
 
 
 def closed_form_n2(ground):
-    return math.comb(ground, 2) // 3 + (ground % 6 not in (1, 3))
+    return math.comb(ground, 2) // 3 + (ground % 6 not in (1, 2, 3))
+
+
+def surplus_shapes(ground):
+    """(i1, i2, classes) for each shape the edge count of K_ground allows a
+    b-coloring of KG(ground, 2): i1 single edges and i2 stars whose cores
+    make up X, |X| = m = 2i1 + i2, and t triangles on the other edges, with
+    C(ground, 2) = i1 + S + 3t exactly for the S star edges. The stars hold
+    the C(m, 2) - i1 edges inside X but the single edges, and e_x >= 1 edges
+    each to Y = [ground] - X, e_x of the parity of |Y|; a star with no edge
+    inside X needs e_x >= 2. At most one single edge exists, only with |Y|
+    even, and never without a star (the matchings argument in `bounds`)."""
+    edges = math.comb(ground, 2)
+    for i1 in (0, 1):
+        for i2 in range(ground - 2 * i1 + 1):
+            m = 2 * i1 + i2
+            y = ground - m
+            if i1 and (y % 2 or i2 == 0):
+                continue
+            inside = math.comb(m, 2) - i1
+            bare = max(0, i2 - inside)  # stars with no edge inside X
+            least = 2 - y % 2  # the least e_x of the parity of |Y|
+            least_bare = least + 2 * (least < 2)
+            if i2 and y < (least_bare if bare else least):
+                continue
+            star_edges = inside + (i2 - bare) * least + bare * least_bare
+            # raising an e_x by 2, up to |Y|, keeps its parity
+            slack = ((i2 - bare) * (y - least) + bare * (y - least_bare)) // 2
+            for raised in range(min(slack, 2) + 1):
+                rest = edges - i1 - star_edges - 2 * raised
+                if rest >= 0 and rest % 3 == 0:
+                    yield i1, i2, i1 + i2 + rest // 3
+                    break
 
 
 def surplus_optimum(ground):
     """The most classes a b-coloring of KG(ground, 2) can have by the count
-    of edges: i1 single edges, i2 stars with at least
-    max(2i2, C(2i1+i2, 2) - i1 + i2) edges among them, and triangles on the
-    rest; three stars of two edges each leave an even ground set only."""
-    edges = math.comb(ground, 2)
-    best = 0
-    for i1 in range(ground // 2 + 1):
-        for i2 in range(ground - 2 * i1 + 1):
-            star_edges = max(2 * i2, math.comb(2 * i1 + i2, 2) - i1 + i2)
-            if (i1, i2, star_edges) == (0, 3, 6) and ground % 2:
-                star_edges += 1
-            triangles = (edges - i1 - star_edges) // 3
-            if triangles >= 0:
-                best = max(best, i1 + i2 + triangles)
-    return best
+    of edges (`surplus_shapes`)."""
+    return max(classes for _, _, classes in surplus_shapes(ground))
 
 
 # phi where the tests solve it exactly (test_solver, TestPinnedOutputs and
@@ -175,11 +195,20 @@ class TestCoreBound:
             assert closed_form_n2(ground) == surplus_optimum(ground), ground
             assert closed_form_n2(ground) <= core_by_loop(KneserParams(2, ground - 4))
 
+    def test_n2_plus_one_shapes(self):
+        # the closed form's +1 is three stars for N = 0, 4 (mod 6) and four
+        # stars, each with one edge to Y, for N = 5 (mod 6)
+        for ground in range(4, 71):
+            plus_one = math.comb(ground, 2) // 3 + 1
+            shapes = [(i1, i2) for i1, i2, c in surplus_shapes(ground) if c == plus_one]
+            expected = {0: [(0, 3)], 4: [(0, 3)], 5: [(0, 4)]}.get(ground % 6, [])
+            assert shapes == expected, ground
+
     @pytest.mark.parametrize(
-        "ground,value", [(6, 6), (7, 7), (8, 10), (9, 12), (13, 26), (14, 31)]
+        "ground,value", [(6, 6), (7, 7), (8, 9), (9, 12), (13, 26), (14, 30)]
     )
     def test_n2_values(self, ground, value):
-        # it is `best` on each, and tight on KG(6,2) and KG(7,2)
+        # it is `best` on each, and tight on KG(6,2), KG(7,2) and KG(8,2)
         params = KneserParams(2, ground - 4)
         assert core_bound(params) == best_upper_bound(params).best == value
 

@@ -928,8 +928,8 @@ class TestBoundsCli:
         proc = run_cli(["bounds", "2", "10"], cwd=tmp_path)
         assert "d-i bound: 45" in proc.stdout
         assert "floor 39" in proc.stdout
-        assert "core-avoidance bound: 31" in proc.stdout
-        assert "best upper bound: 31" in proc.stdout
+        assert "core-avoidance bound: 30" in proc.stdout
+        assert "best upper bound: 30" in proc.stdout
 
     def test_sharp_flag_for_n1(self, tmp_path):
         proc = run_cli(["bounds", "1", "3"], cwd=tmp_path)
@@ -958,7 +958,7 @@ class TestBoundsCli:
         b = run_cli(["bounds", "2", "10", "--format", "json"], cwd=tmp_path).stdout
         assert a == b
         report = json.loads(a)["report"]
-        assert (report["core"], report["best"]) == (31, 31)
+        assert (report["core"], report["best"]) == (30, 30)
 
     # U has 45 and 151 integer digits here, past the 50 significant digits
     # that fit 44 integer digits and six places

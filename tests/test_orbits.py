@@ -101,7 +101,7 @@ def test_burnside_counts_known_values():
 def test_table_holds_every_tabled_level():
     table = committed_table()
     assert set(table) == TABLED == {(ground, 2) for ground in range(4, 9)}
-    assert sum(len(level) for level in table[8, 2]) == 1_500
+    assert sum(len(level) for level in table[8, 2]) == 837
     for ground, n in FAMILIES:
         assert len(table[ground, n]) == table_levels(ground, n)
 
@@ -137,7 +137,7 @@ def test_isomorphism_oracle():
     assert not isomorphic_families([{0, 1}, {2, 3}], [{0, 1}, {1, 2}], 4)
     # every relabeling of a family is found isomorphic to it
     rng = random.Random(7)
-    for r in representatives(8, 2, 10)[::25]:
+    for r in representatives(8, 2, 9)[::15]:
         family = _points(_point_masks(8, 2, r))
         perm = list(range(8))
         rng.shuffle(perm)

@@ -20,6 +20,7 @@ from bkneser import (
     brute_force_phi,
     build_graph,
     degree_bound,
+    enumerate_vertices,
     exact_phi,
     feasible_b_coloring,
     heuristic_b_coloring,
@@ -41,6 +42,7 @@ from bkneser.reproduce import SMALL_KNESER_PARAMS, erdos_renyi_graph, load_seed_
 from bkneser.formats import certificate_from_dict
 from bkneser import solver
 from bkneser.bcoloring import class_masks
+from bkneser.orbits import generate
 from bkneser.solver import (
     _CLOCK_EVERY,
     _BudgetTracker,
@@ -285,6 +287,19 @@ class TestKneserReduction:
         # one seed tuple per orbit, against every 4-subset of the vertices
         assert nodes == [78, 1_232]
 
+    def test_generated_orbits_refute_ten_colors_on_kg82(self):
+        # the best bound, 9, leaves k = 10 off the orbit table; the search
+        # refutes it too, from one seed tuple per orbit of level 10
+        kg = build_graph(KneserParams(2, 4))
+        vertex = {m: v for v, m in enumerate(enumerate_vertices(kg.params))}
+        forms = generate(8, 2, 10)[-1]
+        assert len(forms) == 663
+        tracker = _BudgetTracker(Budget())
+        for form in forms:
+            seeds = tuple(vertex[m] for m in form)
+            assert _search_with_seeds(kg.masks, 10, seeds, tracker) is None
+        assert tracker.nodes == 96_336
+
     def test_exact_matches_oracle_on_kg62(self, kg62, kg62_brute):
         exact, brute = exact_phi(kg62), kg62_brute
         assert exact.phi == brute.phi == 6
@@ -361,16 +376,17 @@ class TestPinnedOutputs:
 
     def test_exact_kg82(self):
         result = exact_phi(build_graph(KneserParams(2, 4)))
-        assert (result.phi, result.infeasible_at) == (9, (10,))
-        assert result.stats.nodes_explored == 104_034
+        assert (result.phi, result.infeasible_at) == (9, ())
+        assert result.stats.nodes_explored == 7_701
         assert result.certificate == _committed("kg_2_4_phi9.json")[0]
 
     def test_budget_bracket_kg82(self):
+        # stopped while testing the best bound, 9, on tabled seed tuples
         with pytest.raises(BudgetExceeded) as info:
-            exact_phi(build_graph(KneserParams(2, 4)), budget=Budget(max_nodes=30_000))
+            exact_phi(build_graph(KneserParams(2, 4)), budget=Budget(max_nodes=5_000))
         exc = info.value
-        assert (exc.tested_k, exc.lower_bound, exc.upper_bound) == (10, 6, 10)
-        assert exc.nodes_explored == 30_001
+        assert (exc.tested_k, exc.lower_bound, exc.upper_bound) == (9, 6, 9)
+        assert exc.nodes_explored == 5_001
         assert exc.certificate.colors == _digits("0001112221333124441235551234")
 
     def test_exact_kg73(self):
@@ -665,11 +681,11 @@ class TestHeuristic:
 
     # (steps from phi_upper_bound, steps from degree_bound): from the bound,
     # the seeded candidates of KG(12,2) at k = 23..21 and of KG(14,2) at
-    # k = 31..29 find no coloring; from the degree bound, those at k = 46 and
+    # k = 30..28 find no coloring; from the degree bound, those at k = 46 and
     # 67 beat no largest-first coloring and the next three find none
     @pytest.mark.parametrize(
         "params,steps",
-        [(KneserParams(2, 8), (103, 264)), (KneserParams(2, 10), (139, 384))],
+        [(KneserParams(2, 8), (103, 264)), (KneserParams(2, 10), (133, 384))],
     )
     def test_phase_two_starts_at_the_upper_bound(self, params, steps, monkeypatch):
         g = build_graph(params)
