@@ -218,7 +218,9 @@ def _star_parity(
     outside every core: an edge from a star's center to Y outside the star
     lies in a triangle with two such edges, and so does every edge from a
     single edge's point to Y; an edge joining two single edges would lie in
-    no class."""
+    no class. When Y is one point y, the case of N = 5, each star's
+    dominator joins its center to y, so every star holds, for each other
+    star, a member missing both y and that star's center."""
     outside = y.bit_count()
     failures = []
     pairs = [ca.color for ca in classes if ca.core.bit_count() == 2]
@@ -235,17 +237,29 @@ def _star_parity(
                 f"class {pairs[0]} has a two-point core but |Y| = {outside} is odd",
             )
         )
-    for ca in classes:
-        if ca.core.bit_count() == 1:
-            meeting = sum(1 for v in ca.members if subsets[v] & y)
-            if not meeting or (meeting - outside) % 2:
-                failures.append(
-                    ProofCheckFailure(
-                        ProofStep.STAR_PARITY,
-                        f"{meeting} members of class {ca.color} meet Y, "
-                        f"|Y| = {outside}",
-                    )
+    stars = [ca for ca in classes if ca.core.bit_count() == 1]
+    for ca in stars:
+        meeting = sum(1 for v in ca.members if subsets[v] & y)
+        if not meeting or (meeting - outside) % 2:
+            failures.append(
+                ProofCheckFailure(
+                    ProofStep.STAR_PARITY,
+                    f"{meeting} members of class {ca.color} meet Y, "
+                    f"|Y| = {outside}",
                 )
+            )
+    if outside == 1:
+        for ca in stars:
+            inside = [subsets[v] for v in ca.members if not subsets[v] & y]
+            for other in stars:
+                if other is not ca and all(m & other.core for m in inside):
+                    failures.append(
+                        ProofCheckFailure(
+                            ProofStep.STAR_PARITY,
+                            f"no member of class {ca.color} misses both Y and "
+                            f"the core of class {other.color}",
+                        )
+                    )
     return failures
 
 
@@ -260,8 +274,10 @@ def analyze_proof_structure(
       classes with an empty core number at most C(|Y|, n), where Y is the
       set of ground elements outside every core;
     - for n = 2, the members of a class with a one-point core (a star) that
-      meet Y are at least one and of the parity of |Y|, and at most one
-      class has a two-point core (a single edge), only with |Y| even;
+      meet Y are at least one and of the parity of |Y|, at most one class
+      has a two-point core (a single edge), only with |Y| even, and when
+      |Y| = 1 each star holds, for each other star, a member missing Y and
+      that star's core;
     - mapping each intersecting class to the minimum of its core is injective,
       so the intersecting family has at most 2n+k classes;
     - every class with empty core has at least three members;

@@ -40,7 +40,8 @@ each star one edge inside X plus one edge to Y. Then each center's other
 even. So phi <= floor(C(N,2)/3) + 1, and phi <= floor(C(N,2)/3) when N is
 odd and 3 divides C(N,2), that is N = 1, 3 (mod 6). A Steiner triple
 system reaches that value, its triangles taken as classes: a triangle other
-than the one holding the edge ab has an edge missing a and b.
+than the one holding the edge ab has an edge missing a and b. The heuristic
+of `solver` builds one (Bose's or Skolem's) for every such N.
 
 Parity takes one more off when N = 2 (mod 6). Let s = 3phi - C(N,2) be the
 surplus and e_x the number of edges of the star at center x that run to Y.
@@ -64,13 +65,26 @@ one; the rest of Y's edges form a (|Y|-3)-regular graph that triangles
 inside Y split, so |Y| - 3 is even, against |Y| even. So s != 2 for even
 N. When N = 2 (mod 3), C(N,2) = 1 (mod 3) and s = 2 (mod 3), so for
 N = 2 (mod 6), s <= 3 and s != 2 leave s <= -1: phi <= floor(C(N,2)/3).
-N = 5 (mod 6) keeps its +1 against this argument: four stars on X, each
-with one edge to Y, have s = 12 - 6 - 4 = 2 with |Y| odd.
+N = 5 (mod 6) keeps its +1 against this argument, in one shape only. For
+odd N, if |Y| is even then m is odd, so i1 = 1 comes with a star and
+s <= 3 + i2 - C(i2+2, 2) <= 1, or i1 = 0 and s <= i2 - C(i2,2) <= 1. If |Y|
+is odd, i2 = m is even and s <= 2i2 - C(i2,2), of its parity: i2 = 2 gives
+an odd s <= m = 2, and s = 2 needs i2 = 4 with every e_x = 1. So the shape is
+four stars on X, each with one edge to Y: s = 12 - 6 - 4 = 2 with |Y| odd.
 
-So phi <= floor(C(N,2)/3) + 1, less one when N = 1, 2, 3 (mod 6). Javadi &
-Omoomi (On b-coloring of the Kneser graphs, Discrete Math. 309, 2009) treat
-b-colorings of KG(N,2) and are the prior work to compare this n = 2 form
-against.
+That shape cannot occur at N = 5. There X holds the four centers x_i and
+Y = {y}, so the dominator of the star at x_i is x_i y. The star at x_j needs
+a member disjoint from x_i y for each of the three i != j, that is an edge
+x_j z with z in X - {x_i}. An edge x_j x_l inside X serves every i but l, so
+one edge cannot serve all three, and each star holds two edges inside X.
+That is 8 edges, and X has C(4,2) = 6. So phi(KG(5,2)) <= 3. For N >= 11,
+|Y| >= 7 lets the dominators x_i y_i run to different points of Y, and the
+argument does not apply.
+
+So phi <= floor(C(N,2)/3) + 1, less one when N = 1, 2, 3 (mod 6) or N = 5.
+Javadi & Omoomi (On b-coloring of the Kneser graphs, Discrete Math. 309,
+2009) treat b-colorings of KG(N,2) and are the prior work to compare this
+n = 2 form, and the Steiner-system values, against.
 """
 
 from __future__ import annotations
@@ -158,7 +172,7 @@ def u_bound(params: KneserParams) -> UBound:
 def core_bound(params: KneserParams) -> int:
     """The core-avoidance bound: the max over i of
     min(i + C(N-i, n), i + floor((|V|-i)/3)), and for n = 2 also its closed
-    form floor(C(N,2)/3) + 1, less one when N = 1, 2, 3 (mod 6).
+    form floor(C(N,2)/3) + 1, less one when N = 1, 2, 3 (mod 6) or N = 5.
 
     On 0 <= i <= N-n the first term never rises and the second never falls,
     and above N-n the first is i, at most the second; so the maximum is at
@@ -182,7 +196,7 @@ def core_bound(params: KneserParams) -> int:
             lo = mid + 1
     bound = max(ground, first(lo), second(lo - 1) if lo else 0)
     if n == 2:
-        bound = min(bound, v // 3 + (ground % 6 not in (1, 2, 3)))
+        bound = min(bound, v // 3 + (ground % 6 not in (1, 2, 3) and ground != 5))
     return bound
 
 

@@ -594,22 +594,29 @@ def heuristic_b_coloring(
     """Greedy lower-bound certificate; always returns a verified b-coloring.
 
     The best of `_eliminate_undominated` over a list of proper colorings: a
-    largest-first greedy coloring, then, for each k from phi_upper_bound
-    down while k exceeds the best count so far, a seeded greedy coloring
-    with k colors (a candidate with k colors keeps at most k), until
-    _SEEDED_MISSES attempts in a row give no coloring: on Kneser graphs
-    only the first attempt has been seen to succeed, and the later ones
-    cost as much. Elimination turns any proper coloring into a b-coloring,
-    so the first candidate always gives a result. Once `deadline`, a
-    time.monotonic() value, has passed, the current seeded candidate is
-    abandoned and no other starts; the first candidate ignores it. Without a
-    deadline the clock is never read.
+    largest-first greedy coloring; on KG(N, 2) with N = 1, 3 (mod 6), the
+    triangles of a Steiner triple system (`_steiner_classes`), whose
+    N(N-1)/6 colors meet the closed-form bound; then, for each k from
+    phi_upper_bound down while k exceeds the best count so far, a seeded
+    greedy coloring with k colors (a candidate with k colors keeps at most
+    k), until _SEEDED_MISSES attempts in a row give no coloring: on Kneser
+    graphs only the first attempt has been seen to succeed, and the later
+    ones cost as much. Elimination turns any proper coloring into a
+    b-coloring, so the first candidate always gives a result. Once
+    `deadline`, a time.monotonic() value, has passed, the current Steiner or
+    seeded candidate is abandoned and no other starts; the first candidate
+    ignores it. Without a deadline the clock is never read.
     """
     if graph.vertex_count == 0:
         raise ValueError("empty graph rejected")
     start = time.perf_counter()
     steps = [0]
     best = _eliminate_undominated(graph, _greedy_proper(graph, steps), steps)
+    classes = _steiner_classes(graph, steps, deadline)
+    if classes is not None:
+        found = _eliminate_undominated(graph, classes, steps, deadline)
+        if found is not None and found.color_count > best.color_count:
+            best = found
     k = phi_upper_bound(graph)
     misses = 0
     while k > best.color_count and misses < _SEEDED_MISSES and not _expired(deadline):
@@ -684,6 +691,76 @@ def _eliminate_undominated(
             c = next(c for c, cm in enumerate(classes) if not closed & cm)
             classes[c] |= 1 << v
     return None
+
+
+def _steiner_triples(ground: int) -> list[tuple[int, int, int]]:
+    """A Steiner triple system on the points 0..ground-1, ground = 1, 3
+    (mod 6): triples that hold each pair of points exactly once. Bose's
+    construction (Ann. Eugenics 9, 1939) for ground = 6t+3 and Skolem's
+    (Math. Scand. 6, 1958) for ground = 6t+1, as in Lindner & Rodger, Design
+    Theory. Both take the points (x, i) of Z_q x Z_3, numbered 3x + i, and a
+    commutative idempotent quasigroup x.y on Z_q, q = 2t+1 for Bose, or a
+    half-idempotent one on Z_2t for Skolem; Skolem's extra point, infinity,
+    is ground-1."""
+    q = ground // 3
+    t = q // 2
+
+    def point(x: int, i: int) -> int:
+        return 3 * x + i % 3
+
+    if ground % 6 == 3:
+        half = (q + 1) // 2  # the inverse of 2 mod q
+        triples = [(point(x, 0), point(x, 1), point(x, 2)) for x in range(q)]
+
+        def dot(x: int, y: int) -> int:
+            return (x + y) * half % q
+
+    else:
+        triples = [(point(x, 0), point(x, 1), point(x, 2)) for x in range(t)]
+        triples += [
+            (ground - 1, point(x + t, i), point(x, i + 1))
+            for x in range(t)
+            for i in range(3)
+        ]
+
+        def dot(x: int, y: int) -> int:
+            s = (x + y) % q
+            return s // 2 + t * (s % 2)
+
+    triples += [
+        (point(x, i), point(y, i), point(dot(x, y), i + 1))
+        for x, y in combinations(range(q), 2)
+        for i in range(3)
+    ]
+    return triples
+
+
+def _steiner_classes(
+    graph: Graph, steps: list[int], deadline: float | None = None
+) -> list[int] | None:
+    """On KG(N, 2) with N = 1, 3 (mod 6), the triangles of `_steiner_triples`
+    as one vertex mask per class: a vertex is a pair of points, and a
+    triangle's three pairs meet pairwise. Each vertex placed counts one step.
+    None on any other graph, or when `deadline` passes, checked once per
+    triangle.
+
+    Every class is dominated, so elimination keeps all N(N-1)/6 of them: a
+    pair ab lies in one triangle only, and every other triangle holds at
+    most one of a and b, so two of its points form a pair missing both."""
+    params = graph.params
+    if params is None or params.n != 2 or params.ground_size % 6 not in (1, 3):
+        return None
+    vertex = {mask: v for v, mask in enumerate(graph.subsets)}
+    classes = []
+    for triple in _steiner_triples(params.ground_size):
+        if _expired(deadline):
+            return None
+        members = 0
+        for a, b in combinations(triple, 2):
+            steps[0] += 1
+            members |= 1 << vertex[1 << a | 1 << b]
+        classes.append(members)
+    return classes
 
 
 def _seeded_proper(

@@ -19,7 +19,7 @@ from bkneser import (
     exact_phi,
     is_b_coloring,
 )
-from bkneser.bcoloring import class_colors, class_masks
+from bkneser.bcoloring import ClassAnalysis, _star_parity, class_colors, class_masks
 from bkneser.formats import certificate_from_dict, proof_analysis_dict
 
 from oracles import (
@@ -471,6 +471,52 @@ class TestAnalyzeProofStructure:
         forged = Graph(masks, subsets, params)
         analysis = analyze_proof_structure(params, forged, Coloring.from_sequence(colors))
         assert [(f.step, f.detail) for f in analysis.failures] == expected
+
+    @staticmethod
+    def _stars(*stars):
+        """ClassAnalysis records of KG(5,2) stars, each given as the pairs of
+        points (1-indexed) of its members, with the vertex list they index."""
+        subsets, classes = [], []
+        for color, pairs in enumerate(stars):
+            members = tuple(range(len(subsets), len(subsets) + len(pairs)))
+            subsets += [(1 << (a - 1)) | (1 << (b - 1)) for a, b in pairs]
+            core = class_core(subsets[v] for v in members)
+            classes.append(ClassAnalysis(color, members, core, (), False))
+        return classes, subsets
+
+    def test_star_parity_four_stars_with_y_one_point(self):
+        # no b-coloring of KG(5,2) has 4 colors, so the records are built by
+        # hand: stars at 1, 2, 3 and 4, each with one member meeting
+        # Y = {5}, sharing the C(4, 2) = 6 edges inside X. The stars at 3
+        # and 4 get one edge inside X each, {3,4} and {1,4}, and {3,4} meets
+        # the center 4 and {1,4} the center 1
+        classes, subsets = self._stars(
+            [(1, 2), (1, 3), (1, 5)],
+            [(2, 3), (2, 4), (2, 5)],
+            [(3, 4), (3, 5)],
+            [(1, 4), (4, 5)],
+        )
+        assert [(f.step, f.detail) for f in _star_parity(classes, subsets, 0b10000)] == [
+            (
+                ProofStep.STAR_PARITY,
+                "no member of class 2 misses both Y and the core of class 3",
+            ),
+            (
+                ProofStep.STAR_PARITY,
+                "no member of class 3 misses both Y and the core of class 0",
+            ),
+        ]
+
+    def test_star_parity_passes_two_edges_inside_x_per_star(self):
+        # the same stars with two edges inside X each, 8 in all: more than
+        # X holds, so only records built by hand can have them
+        classes, subsets = self._stars(
+            [(1, 2), (1, 3), (1, 5)],
+            [(2, 3), (2, 4), (2, 5)],
+            [(3, 4), (1, 3), (3, 5)],
+            [(1, 4), (2, 4), (4, 5)],
+        )
+        assert _star_parity(classes, subsets, 0b10000) == []
 
     def test_proof_step_names_are_stable(self):
         assert {s.value for s in ProofStep} == {

@@ -90,7 +90,10 @@ class TestUBound:
 class TestBestUpperBound:
     def test_petersen(self):
         report = best_upper_bound(KneserParams(2, 1))
-        assert report.best == 4  # regular bound beats u_floor=6; bk n/a
+        # the core-avoidance bound's N = 5 case beats the regular bound 4
+        # and u_floor 6; bk n/a
+        assert (report.core, report.regular_bound) == (3, 4)
+        assert report.best == 3
         assert report.u_floor == 6
 
     def test_kg73(self):
@@ -126,7 +129,7 @@ def core_by_loop(params):
 
 
 def closed_form_n2(ground):
-    return math.comb(ground, 2) // 3 + (ground % 6 not in (1, 2, 3))
+    return math.comb(ground, 2) // 3 + (ground % 6 not in (1, 2, 3) and ground != 5)
 
 
 def surplus_shapes(ground):
@@ -137,7 +140,9 @@ def surplus_shapes(ground):
     the C(m, 2) - i1 edges inside X but the single edges, and e_x >= 1 edges
     each to Y = [ground] - X, e_x of the parity of |Y|; a star with no edge
     inside X needs e_x >= 2. At most one single edge exists, only with |Y|
-    even, and never without a star (the matchings argument in `bounds`)."""
+    even, and never without a star (the matchings argument in `bounds`).
+    Four stars with |Y| = 1 need two edges each inside X, 8 > C(4, 2): each
+    dominator runs to the one point of Y (the N = 5 argument in `bounds`)."""
     edges = math.comb(ground, 2)
     for i1 in (0, 1):
         for i2 in range(ground - 2 * i1 + 1):
@@ -150,6 +155,8 @@ def surplus_shapes(ground):
             least = 2 - y % 2  # the least e_x of the parity of |Y|
             least_bare = least + 2 * (least < 2)
             if i2 and y < (least_bare if bare else least):
+                continue
+            if y == 1 and i2 == 4:
                 continue
             star_edges = inside + (i2 - bare) * least + bare * least_bare
             # raising an e_x by 2, up to |Y|, keeps its parity
@@ -167,13 +174,16 @@ def surplus_optimum(ground):
     return max(classes for _, _, classes in surplus_shapes(ground))
 
 
-# phi where the tests solve it exactly (test_solver, TestPinnedOutputs and
-# the oracle cross-checks): KG(5..8,2), KG(6,3), KG(7,3) and KG(8,4)
+# phi where the tests solve it exactly (test_solver, TestPinnedOutputs,
+# TestSteinerTripleSystems and the oracle cross-checks): KG(5..9,2),
+# KG(13,2), KG(6,3), KG(7,3) and KG(8,4)
 KNOWN_PHI = {
     KneserParams(2, 1): 3,
     KneserParams(2, 2): 6,
     KneserParams(2, 3): 7,
     KneserParams(2, 4): 9,
+    KneserParams(2, 5): 12,
+    KneserParams(2, 9): 26,
     KneserParams(3, 0): 2,
     KneserParams(3, 1): 5,
     KneserParams(4, 0): 2,
@@ -197,18 +207,21 @@ class TestCoreBound:
 
     def test_n2_plus_one_shapes(self):
         # the closed form's +1 is three stars for N = 0, 4 (mod 6) and four
-        # stars, each with one edge to Y, for N = 5 (mod 6)
+        # stars, each with one edge to Y, for N = 5 (mod 6) but N = 5
         for ground in range(4, 71):
             plus_one = math.comb(ground, 2) // 3 + 1
             shapes = [(i1, i2) for i1, i2, c in surplus_shapes(ground) if c == plus_one]
             expected = {0: [(0, 3)], 4: [(0, 3)], 5: [(0, 4)]}.get(ground % 6, [])
+            if ground == 5:
+                expected = []
             assert shapes == expected, ground
 
     @pytest.mark.parametrize(
-        "ground,value", [(6, 6), (7, 7), (8, 9), (9, 12), (13, 26), (14, 30)]
+        "ground,value",
+        [(5, 3), (6, 6), (7, 7), (8, 9), (9, 12), (13, 26), (14, 30)],
     )
     def test_n2_values(self, ground, value):
-        # it is `best` on each, and tight on KG(6,2), KG(7,2) and KG(8,2)
+        # it is `best` on each, and phi on each but KG(14,2) (KNOWN_PHI)
         params = KneserParams(2, ground - 4)
         assert core_bound(params) == best_upper_bound(params).best == value
 

@@ -646,7 +646,8 @@ class TestSolveCli:
         assert proc.returncode == EXIT_OK, proc.stderr
         payload = json.loads(proc.stdout)
         assert payload["phi"] == 3
-        assert payload["infeasible_at"] == [4]
+        # the best bound is 3, so nothing is refuted
+        assert payload["infeasible_at"] == []
         assert payload["config"]["mode"] == "exact"
         verify = run_cli(["verify", str(graph_file), "c.json"], cwd=tmp_path)
         assert verify.returncode == EXIT_OK, verify.stderr
@@ -752,15 +753,47 @@ class TestSolveCli:
         assert proc.stderr == f"error: {message}\n"
         assert proc.stdout == ""
 
-    def test_budget_bracket_exit_code(self, tmp_path):
+    def test_budget_bracket_exit_code(self, tmp_path, petersen):
+        # an untagged Petersen graph: its bound is the degree bound, 4, which
+        # the search must refute
+        write_graph(str(tmp_path / "petersen.col"), Graph(petersen.masks))
         proc = run_cli(
-            ["solve", "2", "1", "--budget-nodes", "3", "--format", "json"],
+            ["solve", "petersen.col", "--budget-nodes", "3", "--format", "json"],
             cwd=tmp_path,
         )
         assert proc.returncode == EXIT_BUDGET
         payload = json.loads(proc.stdout)
         assert payload["status"] == "budget_exceeded"
         assert payload["bracket"]["upper"] == 4
+
+    # KG(9,2) and KG(13,2): the heuristic's Steiner triple system reaches
+    # the best bound, so the solve searches nothing
+    @pytest.mark.parametrize("k,phi", [(5, 12), (9, 26)])
+    def test_steiner_solve_is_exact_and_repeatable(self, tmp_path, k, phi):
+        runs = []
+        for cert in ("a.json", "b.json"):
+            start = time.monotonic()
+            proc = run_cli(
+                ["solve", "2", str(k), "--format", "json", "--cert", cert],
+                cwd=tmp_path,
+            )
+            assert time.monotonic() - start < 10
+            assert proc.returncode == EXIT_OK, proc.stderr
+            runs.append(json.loads(proc.stdout))
+        first = runs[0]
+        assert (first["phi"], first["infeasible_at"]) == (phi, [])
+        for payload in runs:
+            del payload["stats"]["elapsed_seconds"]
+            del payload["config"]["cert"], payload["certificate_file"]
+        assert runs[0] == runs[1]
+        assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
+        run_cli(["gen", "2", str(k), "--out", "g.col"], cwd=tmp_path)
+        verify = run_cli(
+            ["verify", "g.col", "a.json", "--proof-structure", "--format", "json"],
+            cwd=tmp_path,
+        )
+        assert verify.returncode == EXIT_OK, verify.stderr
+        assert json.loads(verify.stdout)["proof_structure"]["ok"] is True
 
     @pytest.mark.parametrize(
         "mode,budgets",

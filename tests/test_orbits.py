@@ -219,7 +219,7 @@ def test_table_loads_only_for_a_tabled_solve():
         "exact_phi(build_graph(KneserParams(3, 0)))\n"
         "exact_phi(build_graph(KneserParams(1, 3)))\n"
         "assert t.cache_info().currsize == 0\n"
-        "exact_phi(build_graph(KneserParams(2, 1)))\n"
+        "exact_phi(build_graph(KneserParams(2, 2)))\n"
         "assert t.cache_info().currsize == 1\n"
     )
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))

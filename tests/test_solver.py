@@ -16,6 +16,7 @@ from bkneser import (
     Graph,
     InstanceTooLarge,
     KneserParams,
+    analyze_proof_structure,
     best_upper_bound,
     brute_force_phi,
     build_graph,
@@ -52,6 +53,8 @@ from bkneser.solver import (
     _search_with_seeds,
     _seed_tuples,
     _seeded_proper,
+    _steiner_classes,
+    _steiner_triples,
     _StopSearch,
     phi_upper_bound,
 )
@@ -278,14 +281,18 @@ class TestKneserReduction:
             assert list(_seed_tuples(_stripped(kg), m)) == expected, m
 
     def test_reduction_halves_refutation_nodes(self):
-        kg = build_graph(KneserParams(2, 1))  # Petersen: 4 colors are refuted
-        nodes = []
-        for g in (kg, _stripped(kg)):
-            tracker = _BudgetTracker(Budget())
-            assert feasible_b_coloring(g, 4, _tracker=tracker) is None
-            nodes.append(tracker.nodes)
-        # one seed tuple per orbit, against every 4-subset of the vertices
-        assert nodes == [78, 1_232]
+        # Petersen: 4 colors are refuted, from one seed tuple per orbit of
+        # the generated level 4 (the best bound, 3, keeps k = 4 off the
+        # table), against every 4-subset of the vertices
+        kg = build_graph(KneserParams(2, 1))
+        vertex = {m: v for v, m in enumerate(kg.subsets)}
+        tracker = _BudgetTracker(Budget())
+        for form in generate(5, 2, 4)[-1]:
+            seeds = tuple(vertex[m] for m in form)
+            assert _search_with_seeds(kg.masks, 4, seeds, tracker) is None
+        plain = _BudgetTracker(Budget())
+        assert feasible_b_coloring(_stripped(kg), 4, _tracker=plain) is None
+        assert [tracker.nodes, plain.nodes] == [78, 1_232]
 
     def test_generated_orbits_refute_ten_colors_on_kg82(self):
         # the best bound, 9, leaves k = 10 off the orbit table; the search
@@ -371,7 +378,9 @@ class TestPinnedOutputs:
         budget = Budget(max_nodes=30_000)
         result = exact_phi(build_graph(KneserParams(2, 3)), budget=budget)
         assert (result.phi, result.infeasible_at) == (7, ())
-        assert result.stats.nodes_explored == 69
+        # the heuristic's steps only: its Steiner triple system candidate
+        # reaches the best bound, 7
+        assert result.stats.nodes_explored == 42
         assert result.certificate == _committed("kg_2_3_phi7.json")[0]
 
     def test_exact_kg82(self):
@@ -566,7 +575,8 @@ class TestRootPropagation:
 class TestExactPhi:
     def test_petersen(self, petersen_exact, petersen_brute):
         assert petersen_exact.phi == 3 == petersen_brute.phi
-        assert petersen_exact.infeasible_at == (4,)
+        # the best bound is 3: the search refutes nothing
+        assert petersen_exact.infeasible_at == ()
         assert petersen_exact.stats.mode == "exact"
 
     def test_complete_graph(self):
@@ -596,9 +606,11 @@ class TestExactPhi:
             g = erdos_renyi_graph(9, p, 3000 + seed)
             assert exact_phi(g).phi == brute_force_phi(g).phi
 
+    # an untagged Petersen graph, whose bound is the degree bound, 4: the
+    # tagged one's best bound is 3, so its solve searches nothing
     def test_budget_bracket(self, petersen):
         with pytest.raises(BudgetExceeded) as info:
-            exact_phi(petersen, budget=Budget(max_nodes=3))
+            exact_phi(_stripped(petersen), budget=Budget(max_nodes=3))
         exc = info.value
         assert exc.upper_bound == 4
         assert exc.lower_bound is not None and 2 <= exc.lower_bound <= 3
@@ -607,7 +619,7 @@ class TestExactPhi:
 
     def test_time_budget(self, petersen):
         with pytest.raises(BudgetExceeded):
-            exact_phi(petersen, budget=Budget(time_limit=0.0))
+            exact_phi(_stripped(petersen), budget=Budget(time_limit=0.0))
 
     # KG(7,3): a seeded candidate lifts 3 colors to 4; KG(14,2);
     # KG(8,2), whose seed tuples come from the orbit table
@@ -818,6 +830,12 @@ class TestHeuristic:
         for g in graphs:
             result = heuristic_b_coloring(g)
             reference = reference_heuristic_b_coloring(g)
+            if _steiner_classes(g, [0]) is not None:
+                # KG(7,2), KG(9,2) and KG(13,2): the Steiner triple system
+                # candidate, which the reference lacks, reaches the bound
+                ground = g.params.ground_size
+                assert result.phi == ground * (ground - 1) // 6 >= reference.phi, g
+                continue
             assert result.phi == reference.phi, g
             assert result.certificate == reference.certificate, g
 
@@ -842,6 +860,55 @@ class TestHeuristic:
             g = erdos_renyi_graph(7 + seed % 3, 0.2 + 0.3 * (seed % 3), 40 + seed)
             result = heuristic_b_coloring(g)
             assert is_b_coloring(g, result.certificate).valid
+
+
+# N = 1, 3 (mod 6) from 7 to 27
+STEINER_GROUNDS = [g for g in range(7, 28) if g % 6 in (1, 3)]
+
+
+class TestSteinerTripleSystems:
+    @pytest.mark.parametrize("ground", STEINER_GROUNDS)
+    def test_each_pair_lies_in_one_triple(self, ground):
+        triples = _steiner_triples(ground)
+        assert len(triples) == ground * (ground - 1) // 6
+        pairs = sorted(tuple(sorted(p)) for t in triples for p in combinations(t, 2))
+        assert pairs == list(combinations(range(ground), 2))
+
+    @pytest.mark.parametrize("ground", STEINER_GROUNDS)
+    def test_classes_are_a_b_coloring_at_the_best_bound(self, ground):
+        params = KneserParams(2, ground - 4)
+        g = build_graph(params)
+        steps = [0]
+        classes = _steiner_classes(g, steps)
+        assert steps == [g.vertex_count]
+        coloring = Coloring.from_sequence(_colors_of(classes, g))
+        assert is_b_coloring(g, coloring).valid
+        assert analyze_proof_structure(params, g, coloring).ok
+        assert coloring.color_count == best_upper_bound(params).best
+
+    def test_only_on_kneser_graphs_with_n_2_and_a_steiner_ground(self):
+        kg92 = build_graph(KneserParams(2, 5))
+        assert _steiner_classes(_stripped(kg92), [0]) is None
+        for params in (KneserParams(2, 4), KneserParams(3, 1), KneserParams(1, 5)):
+            assert _steiner_classes(build_graph(params), [0]) is None, params
+
+    def test_candidate_stops_on_a_past_deadline(self):
+        g = build_graph(KneserParams(2, 5))  # KG(9,2)
+        assert _steiner_classes(g, [0], time.monotonic() - 1) is None
+        steps = [0]
+        fallback = _eliminate_undominated(g, _greedy_proper(g, steps), steps)
+        result = heuristic_b_coloring(g, deadline=time.monotonic() - 1)
+        assert result.certificate == fallback
+        assert result.stats.nodes_explored == steps[0]
+
+    # KG(9,2) and KG(13,2): before the Steiner candidate, a 1M-node solve of
+    # KG(9,2) ended in the bracket [7, 12]
+    @pytest.mark.parametrize("ground,phi", [(9, 12), (13, 26)])
+    def test_exact_phi_searches_nothing(self, ground, phi):
+        g = build_graph(KneserParams(2, ground - 4))
+        result = exact_phi(g)
+        assert (result.phi, result.infeasible_at) == (phi, ())
+        assert result.stats.nodes_explored == heuristic_b_coloring(g).stats.nodes_explored
 
 
 class TestSandwich:
