@@ -43,19 +43,30 @@ them through free would not bound the work of a solve.
 On a Kneser graph (one carrying `params`) the symmetric group on the ground
 set acts on the graph by automorphisms. An automorphism s maps a b-coloring
 with dominator system D to one with dominator system s(D), so refuting one
-tuple from each orbit of k-sets of vertices refutes k. On KG(N, 2) with
-N <= 8, for k up to the best closed-form bound (every k that exact_phi
-tests), the tuples are exactly one per orbit: the representatives of the
-committed table of `orbits` (a k-set of vertices is a graph with k edges on
-the ground set, its orbit an isomorphism class). The tests check each level
-of the table against the orbit count from Burnside's lemma and check its
-members pairwise non-isomorphic, so they meet every orbit. Every other
-Kneser graph, and every k above the table's top level, gets the seed tuples
-of a plain graph.
+tuple from each orbit of k-sets of vertices refutes k. Of a plain graph's
+tuples, the search keeps those whose ground-set points are in canonical
+order, a lex-leader rule (Crawford, Ginsberg, Luks & Roy, Symmetry-breaking
+predicates for search problems, KR 1996). For a tuple, let deg(p) count
+its seeds whose subset holds point p, and weight(p) sum deg(q) over the
+points q of those seeds; the tuple is kept when the key (deg(p), weight(p))
+never increases from point 0 to point N-1. The key is computed from the
+incidence structure alone, so a permutation of the ground set carries each
+point's key to its image. For any k-set, relabeling the points in order of
+non-increasing key is therefore a permutation whose image passes the filter:
+every orbit keeps a member, and refuting the kept tuples refutes k. The
+rule is the same for every k and every Kneser graph; the tests check that
+the kept tuples meet every orbit on small ones, against a canonical-form
+generator and against all permutations.
+
+The filter reads the deadline every _CLOCK_EVERY tuples it scans, kept or
+not, as the search reads it every _CLOCK_EVERY nodes: a rejected tuple
+counts no node, and long runs of them occur (about 2.7 million in a row
+when refuting 10 colors on KG(8,2)). So a node budget counts search nodes
+only, while a time budget also bounds the tuples the filter skips.
 
 The brute-force oracle is an independent check: it enumerates canonical
 colorings (restricted-growth strings) and shares no seed tuples, forced
-witnesses or orbit tables with the search. It runs one exact-k pass per k,
+witnesses or symmetry filter with the search. It runs one exact-k pass per k,
 from degree_bound down to 1, and stops at the first pass that accepts a leaf.
 Pass k keeps only the strings with at most k blocks, and one prune cuts a
 node for vertex v with b blocks so far. pot(u) is the number of distinct
@@ -346,19 +357,47 @@ def _search_with_seeds(
     return class_colors(colored, len(adj))
 
 
-def _seed_tuples(graph: Graph, k: int) -> Iterable[tuple[int, ...]]:
+def _seed_tuples(
+    graph: Graph, k: int, deadline: float | None = None
+) -> Iterable[tuple[int, ...]]:
     """The seed tuples, ascending within each, whose refutation refutes k
-    colors: one per orbit from the table of `orbits` where it has the level,
-    and otherwise every k-subset of the vertices of degree >= k-1."""
-    if graph.params is not None:
-        # imported here, so that `python -m bkneser.orbits` finds it unimported
-        from .orbits import representatives
-
-        orbits = representatives(graph.params.ground_size, graph.params.n, k)
-        if orbits is not None:
-            return orbits
+    colors: the k-subsets of the vertices of degree >= k-1 in lexicographic
+    order, on a Kneser graph only those whose points are in canonical order
+    (module docstring). The filter reads `deadline` every _CLOCK_EVERY
+    tuples it scans and raises _StopSearch once it has passed."""
     candidates = [v for v, d in enumerate(graph.degrees()) if d >= k - 1]
-    return combinations(candidates, k)
+    tuples = combinations(candidates, k)
+    if graph.params is None:
+        return tuples
+    return _canonically_ordered(tuples, graph.subsets, graph.params.ground_size, deadline)
+
+
+def _canonically_ordered(
+    tuples: Iterable[tuple[int, ...]],
+    subsets: tuple[int, ...],
+    ground: int,
+    deadline: float | None,
+) -> Iterable[tuple[int, ...]]:
+    """The tuples whose points p = 0..ground-1 have non-increasing keys
+    (deg(p), weight(p)): deg(p) counts the seeds whose subset holds p, and
+    weight(p) sums deg(q) over the points q of those seeds."""
+    points = [bit_indices(m) for m in subsets]
+    for scanned, seeds in enumerate(tuples, 1):
+        if not scanned % _CLOCK_EVERY and _expired(deadline):
+            raise _StopSearch
+        deg = [0] * ground
+        for v in seeds:
+            for p in points[v]:
+                deg[p] += 1
+        if any(a < b for a, b in zip(deg, deg[1:])):
+            continue
+        weight = [0] * ground
+        for v in seeds:
+            total = sum(deg[q] for q in points[v])
+            for p in points[v]:
+                weight[p] += total
+        if all(a > b or x >= y for a, b, x, y in zip(deg, deg[1:], weight, weight[1:])):
+            yield seeds
 
 
 def feasible_b_coloring(
@@ -388,7 +427,7 @@ def feasible_b_coloring(
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + n + 10)
     try:
-        for seeds in _seed_tuples(graph, k):
+        for seeds in _seed_tuples(graph, k, tracker.deadline):
             tracker.check()  # a deadline already past stops before the first node
             assignment = _search_with_seeds(graph.masks, k, seeds, tracker)
             if assignment is not None:
@@ -546,7 +585,7 @@ def exact_phi(graph: Graph, budget: Budget | None = None) -> SolveResult:
     The search starts at phi_upper_bound. A greedy heuristic run seeds the
     lower end of the bracket; when every k above it is refuted, its
     certificate is already the optimum. The time budget covers the heuristic
-    and the loading of the orbit table too.
+    too.
     """
     n = graph.vertex_count
     if n == 0:

@@ -2,7 +2,7 @@
 
 Deliberately naive: plain sets and unpruned restricted-growth-string
 enumeration, sharing no code or data structures with the package under test.
-The exceptions are six earlier versions of package code. One is
+The exceptions are seven earlier versions of package code. One is
 `reference_search_with_seeds`, the exact search's kernel as it was before its
 per-vertex checks were hoisted out of the color loop and before it propagated
 forced witnesses at the root: it runs on the package's budget tracker, so that
@@ -26,7 +26,9 @@ The sixth is `reference_heuristic_b_coloring`, the heuristic as it was when
 it tried a seeded candidate for every k from the upper bound down while k
 exceeded the best count: it uses the package's candidates, elimination and
 verifier, so that both schedules can be compared certificate for
-certificate.
+certificate. The seventh is `generate`, the orbit generator the package once
+used for its seed tuples: it uses the package's vertex order, so that its
+canonical forms can be compared with the seed tuples of a Kneser graph.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from bkneser.kneser import (
     bit_indices,
     build_graph,
     check_enumeration_cap,
+    enumerate_vertices,
 )
 from bkneser.solver import (
     _CLOCK_EVERY,
@@ -212,6 +215,151 @@ def isomorphic_families(a, b, ground: int) -> bool:
         return False
 
     return place(0)
+
+
+# The orbit generator the package once used to pick one seed tuple per
+# S_N-orbit, kept as the reference for the seed-tuple filter of `solver`.
+#
+# The symmetric group on the ground set [N] = {0..N-1} acts on the n-subsets
+# of [N], so on every k-set of them: for n = 2 such a k-set is a graph with k
+# edges on N points, and its orbit is its isomorphism class. Here an n-subset
+# is a point mask (point p at bit p) and a k-set, a "family", is a sorted
+# tuple of them; sorted point masks follow the vertex order of KG(N, n).
+#
+# Canonical form: partition refinement with individualization (McKay,
+# Practical graph isomorphism, Congr. Numer. 30, 1981). An ordered partition
+# of [N] is refined until no cell splits by the multiset of cells its points
+# share a subset with; new cells are ordered by that multiset, so refinement
+# commutes with every permutation of [N]. A cell of several points is split
+# by putting each of its points first in turn. Every discrete leaf orders
+# [N], the last cell taking label 0, and so relabels the family; the
+# canonical form is the least relabeled family. The tree, and so the form,
+# depend only on the orbit. Two points whose transposition fixes the family
+# (twins) root subtrees that the transposition maps onto each other, so only
+# one of them is put first at a node. Labeling from the last cell gives the
+# points that meet the most subsets the smallest labels, so a form sits on
+# the first vertices of KG(N, n), which the exact search colors first.
+#
+# Generation: level j+1 is the set of the forms of the children X + e of the
+# level-j forms X. Every (j+1)-set Y is such a child up to isomorphism: Y
+# less one member is a j-set, so some permutation maps it onto a level-j form
+# X, and so maps Y onto X + e for some e. Equal forms are one orbit, since a
+# form is a member of its own orbit, and isomorphic children have equal
+# forms. So the set holds exactly one form per level-(j+1) orbit. A
+# permutation within the twin classes of X fixes X, so children X + e whose e
+# meet the same twin classes are isomorphic, and one e per class is enough.
+
+Family = tuple[int, ...]
+
+
+def _twins(members: Family, ground: int) -> list[int]:
+    """twin[p]: the least point whose transposition with p fixes the family.
+    Products of automorphisms are automorphisms, so this is an equivalence."""
+    family = set(members)
+    twin = list(range(ground))
+    for v in range(ground):
+        for u in range(v):
+            if twin[u] != u:
+                continue
+            swap = (1 << u) | (1 << v)
+            swapped = {m ^ swap if (m >> u & 1) != (m >> v & 1) else m for m in family}
+            if swapped == family:
+                twin[v] = u
+                break
+    return twin
+
+
+def _twin_class(mask: int, twin: list[int]) -> tuple[int, ...]:
+    """The subsets that permutations within twin classes map onto each
+    other share this key."""
+    return tuple(sorted(twin[q] for q in bit_indices(mask)))
+
+
+def _refine(
+    cells: list[list[int]], others: list[list[tuple[int, ...]]]
+) -> list[list[int]]:
+    """Split cells until all points of a cell see the same multiset of cell
+    tuples through the subsets holding them; others[p] lists, for each subset
+    holding p, its other points."""
+    cell_of = [0] * len(others)
+    while True:
+        for i, cell in enumerate(cells):
+            for p in cell:
+                cell_of[p] = i
+        out = []
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            keyed = sorted(
+                (sorted(tuple(sorted(cell_of[q] for q in o)) for o in others[p]), p)
+                for p in cell
+            )
+            group = [keyed[0][1]]
+            for (a, _), (b, p) in zip(keyed, keyed[1:]):
+                if a != b:
+                    out.append(group)
+                    group = []
+                group.append(p)
+            out.append(group)
+        if len(out) == len(cells):
+            return out
+        cells = out
+
+
+def _canonical(members: Family, ground: int) -> Family:
+    """The canonical form of a family of subsets of [ground]."""
+    others = [
+        [tuple(q for q in bit_indices(m) if q != p) for m in members if m >> p & 1]
+        for p in range(ground)
+    ]
+    twin = _twins(members, ground)
+    best: Family | None = None
+
+    def search(cells: list[list[int]]) -> None:
+        nonlocal best
+        cells = _refine(cells, others)
+        target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        if target is None:
+            label = [0] * ground
+            for i, (p,) in enumerate(cells):
+                label[p] = ground - 1 - i
+            form = tuple(
+                sorted(sum(1 << label[q] for q in bit_indices(m)) for m in members)
+            )
+            if best is None or form < best:
+                best = form
+            return
+        tried = set()
+        for v in cells[target]:
+            if twin[v] not in tried:
+                tried.add(twin[v])
+                rest = [p for p in cells[target] if p != v]
+                search(cells[:target] + [[v], rest] + cells[target + 1:])
+
+    search([list(range(ground))])
+    return best
+
+
+def generate(ground: int, n: int, top_level: int) -> list[list[Family]]:
+    """levels[j-1]: the canonical forms, ascending, of the S_ground-orbits of
+    j-sets of n-subsets of [ground], for j = 1..top_level."""
+    subsets = enumerate_vertices(KneserParams(n, ground - 2 * n))
+    levels: list[list[Family]] = []
+    parents: list[Family] = [()]
+    for _ in range(top_level):
+        children: set[Family] = set()
+        for parent in parents:
+            twin = _twins(parent, ground)
+            tried = set()
+            for e in subsets:
+                key = _twin_class(e, twin)
+                if e not in parent and key not in tried:
+                    tried.add(key)
+                    children.add(_canonical(parent + (e,), ground))
+        parents = sorted(children)
+        levels.append(parents)
+    return levels
 
 
 def reference_search_with_seeds(

@@ -150,7 +150,7 @@ class TestImportFootprint:
         (tmp_path / "c.json").write_text(json.dumps(cert))
         code, loaded = _footprint(tmp_path, "verify", "g.col", "c.json")
         assert code == 0
-        assert not loaded & {"solver", "bounds", "orbits", "reproduce"}
+        assert not loaded & {"solver", "bounds", "reproduce"}
         assert not loaded & _HEAVY, loaded
 
     def test_solve_loads_no_suites(self, tmp_path):

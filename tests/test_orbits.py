@@ -1,35 +1,24 @@
-"""The orbit table and its generator: one representative per S_N-orbit,
-checked against Burnside's lemma and a backtracking isomorphism test that
-share nothing with the generator, and reproduced by regenerating it."""
+"""The seed-tuple filter of `solver` against the orbits of the ground set's
+symmetric group. The canonical forms of the tuples it keeps are the
+representatives that the generator of `oracles` lists, one per orbit, and
+that generator is checked against Burnside's lemma and a backtracking
+isomorphism test that share nothing with it. A check over all permutations,
+which uses neither, finds a kept member in every orbit."""
 
-import os
 import random
-import subprocess
-import sys
 from collections import defaultdict
-from itertools import combinations, zip_longest
+from functools import cache
+from itertools import combinations, permutations
 from math import factorial, prod
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from bkneser import KneserParams, build_graph, enumerate_vertices
-from bkneser.orbits import (
-    TABLED,
-    _canonical,
-    committed_table,
-    generate,
-    representatives,
-    table_levels,
-    table_masks,
-)
-from bkneser.solver import _seed_tuples
+from bkneser import KneserParams, best_upper_bound, build_graph
+from bkneser.solver import _canonically_ordered
 
-from oracles import isomorphic_families, point_signatures
-
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+from oracles import _canonical, generate, isomorphic_families, point_signatures
 
 
 def _partitions(total, largest=None):
@@ -79,17 +68,24 @@ def burnside_counts(ground, n):
     return [t // factorial(ground) for t in total]
 
 
-def _point_masks(ground, n, vertices):
-    """The point masks of a tuple of vertices of KG(ground, n)."""
-    subsets = enumerate_vertices(KneserParams(n, ground - 2 * n))
-    return [subsets[v] for v in vertices]
-
-
 def _points(family):
     return [{p for p in range(mask.bit_length()) if mask >> p & 1} for mask in family]
 
 
-FAMILIES = sorted(TABLED)
+# the families whose levels up to the best bound the package once
+# committed as its table of seed tuples
+FAMILIES = [(ground, 2) for ground in range(4, 9)]
+
+
+def _top(ground, n):
+    """The best closed-form bound on phi(KG(ground, n)): the top k that
+    exact_phi tests."""
+    return best_upper_bound(KneserParams(n, ground - 2 * n)).best
+
+
+@cache
+def _levels(ground, n, top_level):
+    return generate(ground, n, top_level)
 
 
 def test_burnside_counts_known_values():
@@ -98,32 +94,23 @@ def test_burnside_counts_known_values():
     assert burnside_counts(5, 2)[:6] == [1, 1, 2, 4, 6, 6]
 
 
-def test_table_holds_every_tabled_level():
-    table = committed_table()
-    assert set(table) == TABLED == {(ground, 2) for ground in range(4, 9)}
-    assert sum(len(level) for level in table[8, 2]) == 837
-    for ground, n in FAMILIES:
-        assert len(table[ground, n]) == table_levels(ground, n)
-
-
 @pytest.mark.parametrize("ground,n", FAMILIES, ids=str)
 def test_level_sizes_are_burnside_counts(ground, n):
     counts = burnside_counts(ground, n)
-    for k, level in enumerate(committed_table()[ground, n], start=1):
+    for k, level in enumerate(_levels(ground, n, _top(ground, n)), start=1):
         assert len(level) == counts[k], k
 
 
 @pytest.mark.parametrize("ground,n", FAMILIES, ids=str)
 def test_representatives_pairwise_non_isomorphic(ground, n):
     # with the Burnside counts this makes them one per orbit
-    for k in range(1, table_levels(ground, n) + 1):
-        reps = [_point_masks(ground, n, r) for r in representatives(ground, n, k)]
-        assert all(len(set(r)) == k for r in reps)
-        assert all(m.bit_count() == n and m >> ground == 0 for r in reps for m in r)
+    for k, level in enumerate(_levels(ground, n, _top(ground, n)), start=1):
+        assert all(len(set(form)) == k for form in level)
+        assert all(m.bit_count() == n and m >> ground == 0 for f in level for m in f)
         # isomorphic families have equal sorted point signatures
         by_signatures = defaultdict(list)
-        for r in reps:
-            family = _points(r)
+        for form in level:
+            family = _points(form)
             by_signatures[tuple(sorted(point_signatures(family, ground)))].append(family)
         for group in by_signatures.values():
             for a, b in combinations(group, 2):
@@ -137,15 +124,15 @@ def test_isomorphism_oracle():
     assert not isomorphic_families([{0, 1}, {2, 3}], [{0, 1}, {1, 2}], 4)
     # every relabeling of a family is found isomorphic to it
     rng = random.Random(7)
-    for r in representatives(8, 2, 9)[::15]:
-        family = _points(_point_masks(8, 2, r))
+    for form in _levels(8, 2, _top(8, 2))[-1][::15]:
+        family = _points(form)
         perm = list(range(8))
         rng.shuffle(perm)
         assert isomorphic_families(family, [{perm[p] for p in s} for s in family], 8)
 
 
 def test_generated_level_sizes_are_burnside_counts():
-    # N = 9 is past the committed table, so this checks the generator itself
+    # N = 9, past the families above
     levels = generate(9, 2, 8)
     assert [len(level) for level in levels] == burnside_counts(9, 2)[1:9]
 
@@ -174,57 +161,48 @@ def test_relabelings_share_one_canonical_form(family, perm):
     assert _canonical(form, 9) == form
 
 
-@pytest.mark.parametrize("ground", [4, 5, 6, 7])
-def test_regenerating_reproduces_the_table(ground):
-    assert table_masks(ground, 2) == [list(lv) for lv in committed_table()[ground, 2]]
+def _kept(kg, k):
+    """The k-sets of vertices of a Kneser graph that the filter keeps, out of
+    all of them: `_seed_tuples` filters the k-sets of the vertices of degree
+    >= k-1, on a regular graph all of them up to k = d+1 and none above."""
+    every = combinations(range(kg.vertex_count), k)
+    return list(_canonically_ordered(every, kg.subsets, kg.params.ground_size, None))
 
 
-def test_untabled_families_have_no_representatives():
-    assert representatives(9, 2, 3) is None
-    assert representatives(8, 3, 3) is None
-    assert representatives(6, 1, 2) is None
-    assert representatives(7, 2, 8) is None  # past the best bound, 7
+# each graph at every k, or up to the k where its check takes about a second
+FILTERED = {
+    KneserParams(2, 0): 6,
+    KneserParams(2, 1): 10,
+    KneserParams(2, 2): 15,
+    KneserParams(2, 3): 8,
+    KneserParams(3, 0): 6,
+}
 
 
-@pytest.mark.parametrize("params", [KneserParams(2, 1), KneserParams(2, 3)], ids=str)
+@pytest.mark.parametrize("params", list(FILTERED), ids=str)
 def test_seed_tuples_are_the_representatives(params):
+    # the kept k-sets meet exactly the orbits the generator lists, so
+    # refuting them refutes k
     kg = build_graph(params)
     ground = params.ground_size
-    for k in range(1, table_levels(ground, 2) + 1):
-        tuples = list(_seed_tuples(kg, k))
-        assert all(list(t) == sorted(t) for t in tuples)
-        assert tuples == representatives(ground, 2, k)
+    for k, level in enumerate(_levels(ground, params.n, FILTERED[params]), start=1):
+        family = lambda t: tuple(sorted(kg.subsets[v] for v in t))
+        forms = {_canonical(family(t), ground) for t in _kept(kg, k)}
+        assert sorted(forms) == level, k
 
 
-def test_above_the_table_seeds_every_tuple():
-    # an empty tuple list there would refute k unsoundly
-    kg = build_graph(KneserParams(2, 3))
-    k = table_levels(7, 2) + 1
-    assert representatives(7, 2, k) is None
-    # all C(21, 8) = 203,490 tuples, compared in step rather than as lists
-    pairs = zip_longest(_seed_tuples(kg, k), combinations(range(kg.vertex_count), k))
-    assert all(got == expected for got, expected in pairs)
-
-
-def test_table_loads_only_for_a_tabled_solve():
-    # a fresh process: importing, --help and solves of untabled graphs leave
-    # the table unread
-    probe = (
-        "from contextlib import suppress\n"
-        "from bkneser import KneserParams, build_graph, exact_phi\n"
-        "from bkneser.cli import main\n"
-        "from bkneser.orbits import committed_table as t\n"
-        "with suppress(SystemExit):\n"
-        "    main(['--help'])\n"
-        "exact_phi(build_graph(KneserParams(3, 0)))\n"
-        "exact_phi(build_graph(KneserParams(1, 3)))\n"
-        "assert t.cache_info().currsize == 0\n"
-        "exact_phi(build_graph(KneserParams(2, 2)))\n"
-        "assert t.cache_info().currsize == 1\n"
-    )
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
+def test_every_orbit_keeps_a_member_under_all_permutations():
+    # Petersen at every k: each k-set of vertices has a relabeling of the
+    # five points that the filter keeps
+    kg = build_graph(KneserParams(2, 1))
+    vertex = {m: v for v, m in enumerate(kg.subsets)}
+    relabel = [
+        [vertex[sum(1 << perm[p] for p in range(5) if m >> p & 1)] for m in kg.subsets]
+        for perm in permutations(range(5))
+    ]
+    for k in range(1, kg.vertex_count + 1):
+        kept = set(_kept(kg, k))
+        for members in combinations(range(kg.vertex_count), k):
+            assert any(
+                tuple(sorted(image[v] for v in members)) in kept for image in relabel
+            ), (k, members)

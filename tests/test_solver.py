@@ -2,7 +2,7 @@ import json
 import time
 from functools import partial, reduce
 from importlib import resources
-from itertools import combinations
+from itertools import combinations, islice, takewhile
 from operator import or_
 
 import pytest
@@ -30,6 +30,7 @@ from bkneser import (
 
 from oracles import (
     adjacency_sets,
+    generate,
     naive_feasible_k,
     naive_is_proper,
     naive_phi,
@@ -43,7 +44,6 @@ from bkneser.reproduce import SMALL_KNESER_PARAMS, erdos_renyi_graph, load_seed_
 from bkneser.formats import certificate_from_dict
 from bkneser import solver
 from bkneser.bcoloring import class_masks
-from bkneser.orbits import generate
 from bkneser.solver import (
     _CLOCK_EVERY,
     _BudgetTracker,
@@ -73,6 +73,17 @@ SMALL_KNESER = [KneserParams(1, k) for k in range(5)] + [
 def _stripped(g):
     """The same graph without its Kneser labels: the unreduced search."""
     return Graph(g.masks)
+
+
+def _keys_descend(members, ground):
+    """Do the points 0..ground-1 of the family of subset masks `members` have
+    non-increasing keys (deg, weight)? deg(p) counts the members holding p,
+    and weight(p) sums deg(q) over the points q of those members."""
+    family = [{p for p in range(ground) if m >> p & 1} for m in members]
+    deg = [sum(p in s for s in family) for p in range(ground)]
+    weight = [sum(deg[q] for s in family if p in s for q in s) for p in range(ground)]
+    keys = list(zip(deg, weight))
+    return keys == sorted(keys, reverse=True)
 
 
 class TestDegreeBound:
@@ -266,37 +277,45 @@ class TestKneserReduction:
             if reduced is not None:
                 assert is_b_coloring(kg, reduced).valid
 
-    # Kneser graphs outside the orbit table: KG(6,3), KG(7,3) and K_5
+    # KG(6,3), KG(7,3) and K_5
     @pytest.mark.parametrize(
         "params", [KneserParams(3, 0), KneserParams(3, 1), KneserParams(1, 3)]
     )
     def test_seed_tuples_follow_definition(self, params):
         # a plain graph's tuples: every k-subset of the vertices of degree
-        # >= k-1, listed in lexicographic order
+        # >= k-1, listed in lexicographic order; a Kneser graph's: those of
+        # them whose points have non-increasing keys (deg, weight), checked
+        # up to the 20,000th k-subset, as the keys computed here are slow
         kg = build_graph(params)
+        ground = params.ground_size
         top = kg.degrees()[0] + 1
         for m in range(1, kg.vertex_count + 1):
-            expected = list(combinations(range(kg.vertex_count), m)) if m <= top else []
-            assert list(_seed_tuples(kg, m)) == expected, m
-            assert list(_seed_tuples(_stripped(kg), m)) == expected, m
+            every = list(combinations(range(kg.vertex_count), m)) if m <= top else []
+            assert list(_seed_tuples(_stripped(kg), m)) == every, m
+            head = every[:20_000]
+            kept = [t for t in head if _keys_descend([kg.subsets[v] for v in t], ground)]
+            got = takewhile(lambda t: t <= head[-1], _seed_tuples(kg, m))
+            assert list(got) == kept, m
 
     def test_reduction_halves_refutation_nodes(self):
         # Petersen: 4 colors are refuted, from one seed tuple per orbit of
-        # the generated level 4 (the best bound, 3, keeps k = 4 off the
-        # table), against every 4-subset of the vertices
+        # the oracle's level 4, from the tuples the filter keeps, and from
+        # every 4-subset of the vertices
         kg = build_graph(KneserParams(2, 1))
         vertex = {m: v for v, m in enumerate(kg.subsets)}
         tracker = _BudgetTracker(Budget())
         for form in generate(5, 2, 4)[-1]:
             seeds = tuple(vertex[m] for m in form)
             assert _search_with_seeds(kg.masks, 4, seeds, tracker) is None
+        filtered = _BudgetTracker(Budget())
+        assert feasible_b_coloring(kg, 4, _tracker=filtered) is None
         plain = _BudgetTracker(Budget())
         assert feasible_b_coloring(_stripped(kg), 4, _tracker=plain) is None
-        assert [tracker.nodes, plain.nodes] == [78, 1_232]
+        assert [tracker.nodes, filtered.nodes, plain.nodes] == [78, 86, 1_232]
 
     def test_generated_orbits_refute_ten_colors_on_kg82(self):
-        # the best bound, 9, leaves k = 10 off the orbit table; the search
-        # refutes it too, from one seed tuple per orbit of level 10
+        # above the best bound, 9, exact_phi tests no k; the search refutes
+        # k = 10 too, from one seed tuple per orbit of the oracle's level 10
         kg = build_graph(KneserParams(2, 4))
         vertex = {m: v for v, m in enumerate(enumerate_vertices(kg.params))}
         forms = generate(8, 2, 10)[-1]
@@ -306,6 +325,25 @@ class TestKneserReduction:
             seeds = tuple(vertex[m] for m in form)
             assert _search_with_seeds(kg.masks, 10, seeds, tracker) is None
         assert tracker.nodes == 96_336
+
+    def test_time_budget_stops_a_run_of_rejected_tuples(self, monkeypatch):
+        # refuting k = 10 on KG(8,2) ends in 2,729,972 tuples in a row that
+        # the filter rejects, about 8 s of scanning (Python 3.11, 2 vCPUs)
+        # that counts no node. Started at that run, the search passes its
+        # deadline inside it and must stop there: scanning to the end, it
+        # would return None
+        kg = build_graph(KneserParams(2, 4))
+        before_run = 10_393_138  # the tuples up to the last one kept
+
+        def from_the_run(candidates, k):
+            return islice(combinations(candidates, k), before_run, None)
+
+        monkeypatch.setattr(solver, "combinations", from_the_run)
+        start = time.monotonic()
+        with pytest.raises(BudgetExceeded) as info:
+            feasible_b_coloring(kg, 10, Budget(time_limit=0.5))
+        assert time.monotonic() - start < 3
+        assert info.value.nodes_explored == 0
 
     def test_exact_matches_oracle_on_kg62(self, kg62, kg62_brute):
         exact, brute = exact_phi(kg62), kg62_brute
@@ -390,7 +428,7 @@ class TestPinnedOutputs:
         assert result.certificate == _committed("kg_2_4_phi9.json")[0]
 
     def test_budget_bracket_kg82(self):
-        # stopped while testing the best bound, 9, on tabled seed tuples
+        # stopped while testing the best bound, 9
         with pytest.raises(BudgetExceeded) as info:
             exact_phi(build_graph(KneserParams(2, 4)), budget=Budget(max_nodes=5_000))
         exc = info.value
@@ -399,7 +437,6 @@ class TestPinnedOutputs:
         assert exc.certificate.colors == _digits("0001112221333124441235551234")
 
     def test_exact_kg73(self):
-        # off the orbit table: every seed tuple of a plain graph
         result = exact_phi(build_graph(KneserParams(3, 1)))
         assert (result.phi, result.infeasible_at) == (5, ())
         assert result.stats.nodes_explored == 160_409
@@ -419,7 +456,7 @@ class TestPinnedOutputs:
         ),
     }
 
-    # KG(9,4) and KG(11,3): budget brackets off the orbit table
+    # KG(9,4) and KG(11,3): budget brackets
     @pytest.mark.parametrize("params", list(BRACKETS), ids=str)
     def test_budget_bracket_off_the_table(self, params):
         with pytest.raises(BudgetExceeded) as info:
@@ -475,9 +512,8 @@ class TestKernelAgainstReference:
     def test_same_results_nodes_and_stops(self, make):
         graph = make()
         stops = 0
-        # the k that exact_phi tests: on KG(7,2) those above its best bound,
-        # 7, would fall off the orbit table onto the plain graph's tuples,
-        # which the G(n, p) cases cover
+        # the k that exact_phi tests, on the filtered tuples of the Kneser
+        # graphs and on every tuple of the G(n, p) ones
         for k in range(1, phi_upper_bound(graph) + 1):
             expected = _trace_tuples(reference_search_with_seeds, graph, k, Budget())
             full = _trace_tuples(_search_with_seeds, graph, k, Budget())
@@ -622,7 +658,7 @@ class TestExactPhi:
             exact_phi(_stripped(petersen), budget=Budget(time_limit=0.0))
 
     # KG(7,3): a seeded candidate lifts 3 colors to 4; KG(14,2);
-    # KG(8,2), whose seed tuples come from the orbit table
+    # KG(8,2), whose search scans filtered seed tuples
     @pytest.mark.parametrize(
         "params", [KneserParams(3, 1), KneserParams(2, 10), KneserParams(2, 4)]
     )
