@@ -20,7 +20,6 @@ import argparse
 import math
 import os
 import sys
-import time
 
 # typing.TYPE_CHECKING without importing typing, which the CLI does not run
 TYPE_CHECKING = False
@@ -257,6 +256,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     # solver first: without a bytecode cache, compiling the largest module
     # while the fewest others are loaded keeps the process's peak RSS down
     from .solver import (
+        DEFAULT_NODE_BUDGET,
         Budget,
         BudgetExceeded,
         brute_force_phi,
@@ -270,18 +270,15 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     graph = _parse_solve_target(args)
     cfg = _config_dict(args, ["target", "mode", "cert", "format"])
     cfg.update(budgets)
+    # heuristic mode reads no node budget and runs under the default
+    budget = Budget(budgets.get("budget_nodes", DEFAULT_NODE_BUDGET), budgets.get("budget_seconds"))
     try:
         if args.mode == "exact":
-            budget = Budget(
-                max_nodes=budgets["budget_nodes"], time_limit=budgets["budget_seconds"]
-            )
             result = exact_phi(graph, budget=budget)
         elif args.mode == "brute":
             result = brute_force_phi(graph, cap=budgets["brute_cap"])
         else:
-            seconds = budgets["budget_seconds"]
-            deadline = None if seconds is None else time.monotonic() + seconds
-            result = heuristic_b_coloring(graph, deadline=deadline)
+            result = heuristic_b_coloring(graph, budget=budget)
     except BudgetExceeded as exc:
         payload = {
             "config": cfg,

@@ -58,11 +58,12 @@ rule is the same for every k and every Kneser graph; the tests check that
 the kept tuples meet every orbit on small ones, against a canonical-form
 generator and against all permutations.
 
-The filter reads the deadline every _CLOCK_EVERY tuples it scans, kept or
-not, as the search reads it every _CLOCK_EVERY nodes: a rejected tuple
-counts no node, and long runs of them occur (about 2.7 million in a row
-when refuting 10 colors on KG(8,2)). So a node budget counts search nodes
-only, while a time budget also bounds the tuples the filter skips.
+One tracker holds a solve's budget: the heuristic's steps and the search
+nodes count into it, and the filter asks it whether the budget is spent
+every _CLOCK_EVERY tuples it scans, kept or not, as the search does every
+_CLOCK_EVERY nodes. A rejected tuple counts no node, and long runs of them
+occur (about 2.7 million in a row when refuting 10 colors on KG(8,2)), so
+only a time budget bounds the tuples the filter skips.
 
 The brute-force oracle is an independent check: it enumerates canonical
 colorings (restricted-growth strings) and shares no seed tuples, forced
@@ -150,26 +151,24 @@ class _StopSearch(Exception):
     """Internal signal: budget exhausted; unwinds the current search."""
 
 
-def _expired(deadline: float | None) -> bool:
-    return deadline is not None and time.monotonic() > deadline
-
-
 class _BudgetTracker:
-    """Node and time accounting for one solve. The search counts its nodes
-    into `nodes` itself and reads the clock every _CLOCK_EVERY nodes."""
+    """The limits and the count of one solve: the heuristic counts its steps
+    and the search its nodes into `nodes`. The search's loops compare their
+    count with `max_nodes` at every node and call `spent` every
+    _CLOCK_EVERY nodes."""
 
     def __init__(self, budget: Budget) -> None:
-        self.budget = budget
         self.nodes = 0
-        self.deadline = (
-            time.monotonic() + budget.time_limit
-            if budget.time_limit is not None
-            else None
-        )
+        self.max_nodes = budget.max_nodes
+        limit = budget.time_limit
+        self.deadline = None if limit is None else time.monotonic() + limit
 
-    def check(self) -> None:
-        if self.nodes > self.budget.max_nodes or _expired(self.deadline):
-            raise _StopSearch
+    def spent(self) -> bool:
+        """The count has passed max_nodes or the clock the deadline; the
+        clock is read only when there is a deadline."""
+        return self.nodes > self.max_nodes or (
+            self.deadline is not None and time.monotonic() > self.deadline
+        )
 
 
 class SolveStats(NamedTuple):
@@ -226,13 +225,13 @@ def _propagate_root(
     closed = [adj[w] | b for w, b in zip(seeds, colored)]
     free = (1 << len(adj)) - 1 - sum(colored)
     banned = [adj[w] for w in seeds]
-    max_nodes, deadline = tracker.budget.max_nodes, tracker.deadline
+    max_nodes = tracker.max_nodes
     while True:
         forced = False
         for c in range(k):
             tracker.nodes += 1
             nodes = tracker.nodes
-            if nodes > max_nodes or (not nodes % _CLOCK_EVERY and _expired(deadline)):
+            if nodes > max_nodes or (not nodes % _CLOCK_EVERY and tracker.spent()):
                 raise _StopSearch
             colored_c, allow_c = colored[c], free & ~banned[c]
             for cw in closed:
@@ -275,7 +274,7 @@ def _search_with_seeds(
     colored, allow, free, closed = root
     order = bit_indices(free)
     depth = len(order)
-    max_nodes, deadline = tracker.budget.max_nodes, tracker.deadline
+    max_nodes = tracker.max_nodes
     nodes = tracker.nodes
 
     def extend(pos: int) -> bool:
@@ -322,7 +321,8 @@ def _search_with_seeds(
             once |= a
         for c in mine:
             nodes += 1
-            if nodes > max_nodes or (not nodes % _CLOCK_EVERY and _expired(deadline)):
+            # tracker.nodes lags behind here, so spent() reads only the clock
+            if nodes > max_nodes or (not nodes % _CLOCK_EVERY and tracker.spent()):
                 tracker.nodes = nodes
                 raise _StopSearch
             if only >= 0 and c != only:
@@ -358,32 +358,33 @@ def _search_with_seeds(
 
 
 def _seed_tuples(
-    graph: Graph, k: int, deadline: float | None = None
+    graph: Graph, k: int, tracker: _BudgetTracker
 ) -> Iterable[tuple[int, ...]]:
     """The seed tuples, ascending within each, whose refutation refutes k
     colors: the k-subsets of the vertices of degree >= k-1 in lexicographic
     order, on a Kneser graph only those whose points are in canonical order
-    (module docstring). The filter reads `deadline` every _CLOCK_EVERY
-    tuples it scans and raises _StopSearch once it has passed."""
+    (module docstring). The filter asks `tracker` whether the budget is
+    spent every _CLOCK_EVERY tuples it scans and raises _StopSearch once it
+    is."""
     candidates = [v for v, d in enumerate(graph.degrees()) if d >= k - 1]
     tuples = combinations(candidates, k)
     if graph.params is None:
         return tuples
-    return _canonically_ordered(tuples, graph.subsets, graph.params.ground_size, deadline)
+    return _canonically_ordered(tuples, graph.subsets, graph.params.ground_size, tracker)
 
 
 def _canonically_ordered(
     tuples: Iterable[tuple[int, ...]],
     subsets: tuple[int, ...],
     ground: int,
-    deadline: float | None,
+    tracker: _BudgetTracker,
 ) -> Iterable[tuple[int, ...]]:
     """The tuples whose points p = 0..ground-1 have non-increasing keys
     (deg(p), weight(p)): deg(p) counts the seeds whose subset holds p, and
     weight(p) sums deg(q) over the points q of those seeds."""
     points = [bit_indices(m) for m in subsets]
     for scanned, seeds in enumerate(tuples, 1):
-        if not scanned % _CLOCK_EVERY and _expired(deadline):
+        if not scanned % _CLOCK_EVERY and tracker.spent():
             raise _StopSearch
         deg = [0] * ground
         for v in seeds:
@@ -427,8 +428,9 @@ def feasible_b_coloring(
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + n + 10)
     try:
-        for seeds in _seed_tuples(graph, k, tracker.deadline):
-            tracker.check()  # a deadline already past stops before the first node
+        for seeds in _seed_tuples(graph, k, tracker):
+            if tracker.spent():  # a spent budget stops before the first node
+                raise _StopSearch
             assignment = _search_with_seeds(graph.masks, k, seeds, tracker)
             if assignment is not None:
                 break
@@ -473,14 +475,10 @@ def brute_force_phi(graph: Graph, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> SolveRe
     n = graph.vertex_count
     if n == 0:
         raise ValueError("empty graph rejected")
-    if n > cap:
+    vertex_cap = min(cap, _MAX_SEARCH_VERTICES)
+    if n > vertex_cap:
         raise InstanceTooLarge(
-            f"instance too large: brute force capped at {cap} vertices (got {n})"
-        )
-    if n > _MAX_SEARCH_VERTICES:
-        raise InstanceTooLarge(
-            f"instance too large: brute force is capped at "
-            f"{_MAX_SEARCH_VERTICES} vertices at any cap (got {n})"
+            f"instance too large: brute force is capped at {vertex_cap} vertices (got {n})"
         )
     start = time.perf_counter()
     ub = degree_bound(graph)
@@ -584,8 +582,9 @@ def exact_phi(graph: Graph, budget: Budget | None = None) -> SolveResult:
 
     The search starts at phi_upper_bound. A greedy heuristic run seeds the
     lower end of the bracket; when every k above it is refuted, its
-    certificate is already the optimum. The time budget covers the heuristic
-    too.
+    certificate is already the optimum. The budget covers the heuristic
+    too: `nodes_explored` counts its steps and the search nodes. A budget
+    spent by the heuristic ends in a bracket at tested_k = the upper bound.
     """
     n = graph.vertex_count
     if n == 0:
@@ -593,43 +592,38 @@ def exact_phi(graph: Graph, budget: Budget | None = None) -> SolveResult:
     start = time.perf_counter()
     ub = phi_upper_bound(graph)
     tracker = _BudgetTracker(budget or Budget())
-    heur = heuristic_b_coloring(graph, deadline=tracker.deadline)
-    lower, certificate = heur.phi, heur.certificate
+    certificate = _heuristic(graph, tracker)
+    lower = phi = certificate.color_count
     if lower > ub:
         raise RuntimeError("internal error: heuristic exceeded a sound upper bound")
-    phi = lower
-    for k in range(ub, lower, -1):
-        try:
+    k = ub
+    try:
+        if tracker.spent():
+            raise BudgetExceeded("budget spent by the heuristic", tested_k=k)
+        for k in range(ub, lower, -1):
             found = feasible_b_coloring(graph, k, _tracker=tracker)
-        except BudgetExceeded:
-            raise BudgetExceeded(
-                f"budget exhausted while testing k={k}; phi in [{lower}, {k}]",
-                tested_k=k,
-                lower_bound=lower,
-                upper_bound=k,
-                certificate=certificate,
-                nodes_explored=tracker.nodes,
-            ) from None
-        if found is not None:
-            phi, certificate = k, found
-            break
-    stats = SolveStats(
-        tracker.nodes + heur.stats.nodes_explored,
-        time.perf_counter() - start,
-        "exact",
-    )
+            if found is not None:
+                phi, certificate = k, found
+                break
+    except BudgetExceeded:
+        raise BudgetExceeded(
+            f"budget exhausted while testing k={k}; phi in [{lower}, {k}]",
+            tested_k=k,
+            lower_bound=lower,
+            upper_bound=k,
+            certificate=certificate,
+            nodes_explored=tracker.nodes,
+        ) from None
     return SolveResult(
         phi=phi,
         certificate=certificate,
         infeasible_at=tuple(range(phi + 1, ub + 1)),
-        stats=stats,
+        stats=SolveStats(tracker.nodes, time.perf_counter() - start, "exact"),
         exact=True,
     )
 
 
-def heuristic_b_coloring(
-    graph: Graph, deadline: float | None = None
-) -> SolveResult:
+def heuristic_b_coloring(graph: Graph, budget: Budget | None = None) -> SolveResult:
     """Greedy lower-bound certificate; always returns a verified b-coloring.
 
     The best of `_eliminate_undominated` over a list of proper colorings: a
@@ -641,53 +635,56 @@ def heuristic_b_coloring(
     k), until _SEEDED_MISSES attempts in a row give no coloring: on Kneser
     graphs only the first attempt has been seen to succeed, and the later
     ones cost as much. Elimination turns any proper coloring into a
-    b-coloring, so the first candidate always gives a result. Once
-    `deadline`, a time.monotonic() value, has passed, the current Steiner or
-    seeded candidate is abandoned and no other starts; the first candidate
-    ignores it. Without a deadline the clock is never read.
+    b-coloring, so the first candidate always gives a result. Each vertex a
+    candidate places or elimination moves counts one step against `budget`.
+    Once the budget is spent, the current Steiner or seeded candidate is
+    abandoned and no other starts; the first candidate always completes.
+    Without a time limit the clock is never read.
     """
     if graph.vertex_count == 0:
         raise ValueError("empty graph rejected")
     start = time.perf_counter()
-    steps = [0]
-    best = _eliminate_undominated(graph, _greedy_proper(graph, steps), steps)
-    classes = _steiner_classes(graph, steps, deadline)
+    tracker = _BudgetTracker(budget or Budget())
+    best = _heuristic(graph, tracker)
+    stats = SolveStats(tracker.nodes, time.perf_counter() - start, "heuristic")
+    return SolveResult(best.color_count, best, infeasible_at=(), stats=stats, exact=False)
+
+
+def _heuristic(graph: Graph, tracker: _BudgetTracker) -> Coloring:
+    """The certificate of `heuristic_b_coloring`, counting into `tracker`."""
+    best = _eliminate_undominated(graph, _greedy_proper(graph, tracker), tracker, stoppable=False)
+    classes = _steiner_classes(graph, tracker)
     if classes is not None:
-        found = _eliminate_undominated(graph, classes, steps, deadline)
+        found = _eliminate_undominated(graph, classes, tracker)
         if found is not None and found.color_count > best.color_count:
             best = found
     k = phi_upper_bound(graph)
     misses = 0
-    while k > best.color_count and misses < _SEEDED_MISSES and not _expired(deadline):
-        classes = _seeded_proper(graph, k, steps, deadline)
+    while k > best.color_count and misses < _SEEDED_MISSES and not tracker.spent():
+        classes = _seeded_proper(graph, k, tracker)
         misses = misses + 1 if classes is None else 0
         if classes is not None:
-            found = _eliminate_undominated(graph, classes, steps, deadline)
+            found = _eliminate_undominated(graph, classes, tracker)
             if found is not None and found.color_count > best.color_count:
                 best = found
         k -= 1
     if not is_b_coloring(graph, best).valid:
         raise RuntimeError("internal error: heuristic produced an invalid coloring")
-    return SolveResult(
-        phi=best.color_count,
-        certificate=best,
-        infeasible_at=(),
-        stats=SolveStats(steps[0], time.perf_counter() - start, "heuristic"),
-        exact=False,
-    )
+    return best
 
 
 def _largest_first(adj: tuple[int, ...]) -> list[int]:
     return sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count(), v))
 
 
-def _greedy_proper(graph: Graph, steps: list[int]) -> list[int]:
+def _greedy_proper(graph: Graph, tracker: _BudgetTracker) -> list[int]:
     """Largest-first greedy proper coloring (ties by vertex index), as one
-    vertex mask per class in color order."""
+    vertex mask per class in color order; each vertex counts one step in
+    `tracker`, and a spent budget does not stop it."""
     adj = graph.masks
     classes: list[int] = []
     for v in _largest_first(adj):
-        steps[0] += 1
+        tracker.nodes += 1
         c = 0
         while c < len(classes) and adj[v] & classes[c]:
             c += 1
@@ -700,13 +697,13 @@ def _greedy_proper(graph: Graph, steps: list[int]) -> list[int]:
 def _eliminate_undominated(
     graph: Graph,
     classes: list[int],
-    steps: list[int],
-    deadline: float | None = None,
+    tracker: _BudgetTracker,
+    stoppable: bool = True,
 ) -> Coloring | None:
     """Recolor away undominated classes of the proper coloring whose class
     masks are `classes` until it is a b-coloring (Irving & Manlove, Discrete
-    Appl. Math. 91, 1999); None when `deadline` passes, checked once per
-    round.
+    Appl. Math. 91, 1999). Each vertex moved counts one step in `tracker`;
+    when `stoppable`, None once the budget is spent, checked once per round.
 
     Classes are numbered by least member, as Coloring.from_sequence numbers
     them, and each round empties the first with no dominating vertex. Each
@@ -717,7 +714,7 @@ def _eliminate_undominated(
     """
     adj = graph.masks
     classes = list(classes)
-    while not _expired(deadline):
+    while not (stoppable and tracker.spent()):
         classes.sort(key=lambda cm: cm & -cm)
         for i, cm in enumerate(classes):
             if not any(_sees_all_colors(graph, classes, v) for v in bit_indices(cm)):
@@ -725,7 +722,7 @@ def _eliminate_undominated(
         else:
             return Coloring(tuple(class_colors(classes, len(adj))), len(classes))
         for v in bit_indices(classes.pop(i)):
-            steps[0] += 1
+            tracker.nodes += 1
             closed = adj[v] | (1 << v)
             c = next(c for c, cm in enumerate(classes) if not closed & cm)
             classes[c] |= 1 << v
@@ -774,14 +771,12 @@ def _steiner_triples(ground: int) -> list[tuple[int, int, int]]:
     return triples
 
 
-def _steiner_classes(
-    graph: Graph, steps: list[int], deadline: float | None = None
-) -> list[int] | None:
+def _steiner_classes(graph: Graph, tracker: _BudgetTracker) -> list[int] | None:
     """On KG(N, 2) with N = 1, 3 (mod 6), the triangles of `_steiner_triples`
     as one vertex mask per class: a vertex is a pair of points, and a
-    triangle's three pairs meet pairwise. Each vertex placed counts one step.
-    None on any other graph, or when `deadline` passes, checked once per
-    triangle.
+    triangle's three pairs meet pairwise. Each vertex placed counts one step
+    in `tracker`. None on any other graph, or once the budget is spent,
+    checked once per triangle.
 
     Every class is dominated, so elimination keeps all N(N-1)/6 of them: a
     pair ab lies in one triangle only, and every other triangle holds at
@@ -792,24 +787,23 @@ def _steiner_classes(
     vertex = {mask: v for v, mask in enumerate(graph.subsets)}
     classes = []
     for triple in _steiner_triples(params.ground_size):
-        if _expired(deadline):
+        if tracker.spent():
             return None
         members = 0
         for a, b in combinations(triple, 2):
-            steps[0] += 1
+            tracker.nodes += 1
             members |= 1 << vertex[1 << a | 1 << b]
         classes.append(members)
     return classes
 
 
-def _seeded_proper(
-    graph: Graph, k: int, steps: list[int], deadline: float | None = None
-) -> list[int] | None:
+def _seeded_proper(graph: Graph, k: int, tracker: _BudgetTracker) -> list[int] | None:
     """A greedy proper coloring with k colors, as one vertex mask per class
     in color order, each seeded on one of the k largest-first vertices of
     degree >= k-1, each other vertex taking the color that most seed
-    neighborhoods around it still miss. None when no such seeds exist, some
-    vertex has no color left, or `deadline` passes, checked once per vertex.
+    neighborhoods around it still miss. Each vertex colored counts one step
+    in `tracker`. None when no such seeds exist, some vertex has no color
+    left, or the budget is spent, checked once per vertex.
 
     covered[c] is the union of the closed neighborhoods of class c's
     members, which by symmetry holds exactly the vertices whose closed
@@ -826,9 +820,9 @@ def _seeded_proper(
     for v in order:
         if seed_mask >> v & 1:
             continue
-        if _expired(deadline):
+        if tracker.spent():
             return None
-        steps[0] += 1
+        tracker.nodes += 1
         avail = [c for c in range(k) if not adj[v] & classes[c]]
         if not avail:
             return None

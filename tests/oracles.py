@@ -8,11 +8,11 @@ per-vertex checks were hoisted out of the color loop and before it propagated
 forced witnesses at the root: it runs on the package's budget tracker, so that
 both kernels can be compared tuple for tuple. Another is
 `reference_seeded_proper`, the heuristic's seeded coloring before it kept its
-covered seeds as masks: it uses the package's vertex order and clock check,
+covered seeds as masks: it uses the package's vertex order and budget tracker,
 so that both can be compared coloring for coloring and step for step. The
 third is `reference_eliminate_undominated`, the heuristic's elimination as it
 was when it took a colors list and re-verified the whole coloring with
-`is_b_coloring` each round: it uses the package's verifier and clock check,
+`is_b_coloring` each round: it uses the package's verifier and budget tracker,
 so that both can be compared coloring for coloring and step for step. The
 fourth is `reference_brute_force_phi`, the brute-force oracle as it was when
 it enumerated every proper restricted-growth string over at most the degree
@@ -53,11 +53,11 @@ from bkneser.solver import (
     _CLOCK_EVERY,
     _BudgetTracker,
     _eliminate_undominated,
-    _expired,
     _greedy_proper,
     _largest_first,
     _seeded_proper,
     _StopSearch,
+    Budget,
     degree_bound,
     phi_upper_bound,
     SolveResult,
@@ -386,7 +386,7 @@ def reference_search_with_seeds(
                 return None
 
     order = bit_indices(free)
-    max_nodes, deadline = tracker.budget.max_nodes, tracker.deadline
+    max_nodes = tracker.max_nodes
 
     def extend(pos: int) -> bool:
         """Color order[pos:]. After coloring v with c, the branch stays open
@@ -404,7 +404,7 @@ def reference_search_with_seeds(
         for c in mine:
             tracker.nodes += 1
             if tracker.nodes > max_nodes or (
-                not tracker.nodes % _CLOCK_EVERY and _expired(deadline)
+                not tracker.nodes % _CLOCK_EVERY and tracker.spent()
             ):
                 raise _StopSearch
             for d in mine:
@@ -449,9 +449,7 @@ def reference_search_with_seeds(
     return color
 
 
-def reference_seeded_proper(
-    graph, k: int, steps: list[int], deadline: float | None = None
-) -> list[int] | None:
+def reference_seeded_proper(graph, k: int, tracker: _BudgetTracker) -> list[int] | None:
     """`_seeded_proper` as it was before it kept a covered-seed mask per
     color: it rescans every seed neighborhood around a vertex for each color
     the vertex may take."""
@@ -468,9 +466,9 @@ def reference_seeded_proper(
     for v in order:
         if colors[v] >= 0:
             continue
-        if _expired(deadline):
+        if tracker.spent():
             return None
-        steps[0] += 1
+        tracker.nodes += 1
         avail = [c for c in range(k) if not adj[v] & classes[c]]
         if not avail:
             return None
@@ -482,14 +480,12 @@ def reference_seeded_proper(
 
 
 def reference_eliminate_undominated(
-    graph,
-    colors: list[int],
-    steps: list[int],
-    deadline: float | None = None,
+    graph, colors: list[int], tracker: _BudgetTracker
 ) -> Coloring | None:
     """Recolor away undominated classes of the proper coloring `colors`
     until it is a b-coloring (Irving & Manlove, Discrete Appl. Math. 91,
-    1999); None when `deadline` passes, checked once per round.
+    1999), each vertex moved counting one step in `tracker`; None once its
+    budget is spent, checked once per round.
 
     Each member of a class with no dominating vertex misses some color, and
     members are pairwise non-adjacent, so moving one to a color it misses
@@ -498,7 +494,7 @@ def reference_eliminate_undominated(
     """
     adj = graph.masks
     for _ in range(max(colors) + 2):
-        if _expired(deadline):
+        if tracker.spent():
             return None
         coloring = Coloring.from_sequence(colors)
         verdict = is_b_coloring(graph, coloring)
@@ -510,7 +506,7 @@ def reference_eliminate_undominated(
         classes = class_masks(colors, coloring.color_count)
         failing = verdict.failing_color
         for v in bit_indices(classes[failing]):
-            steps[0] += 1
+            tracker.nodes += 1
             closed = adj[v] | (1 << v)
             missing = next((c for c, cm in enumerate(classes) if not closed & cm), None)
             if missing is None:
@@ -611,9 +607,7 @@ def reference_brute_force_phi(graph) -> tuple[int, tuple[int, ...], tuple[int, .
     return phi, tuple(range(phi + 1, ub + 1)), found[phi], nodes
 
 
-def reference_heuristic_b_coloring(
-    graph: Graph, deadline: float | None = None
-) -> SolveResult:
+def reference_heuristic_b_coloring(graph: Graph) -> SolveResult:
     """Greedy lower-bound certificate; always returns a verified b-coloring.
 
     The best of `_eliminate_undominated` over a list of proper colorings: a
@@ -621,21 +615,19 @@ def reference_heuristic_b_coloring(
     down while k exceeds the best count so far, a seeded greedy coloring
     with k colors (a candidate with k colors keeps at most k). Elimination
     turns any proper coloring into a b-coloring, so the first candidate
-    always gives a result. Once `deadline`, a time.monotonic() value, has
-    passed, the current seeded candidate is abandoned and no other starts;
-    the first candidate ignores it. Without a deadline the clock is never
-    read.
+    always gives a result. It runs under the default budget, which no graph
+    it is compared on comes near.
     """
     if graph.vertex_count == 0:
         raise ValueError("empty graph rejected")
     start = time.perf_counter()
-    steps = [0]
-    best = _eliminate_undominated(graph, _greedy_proper(graph, steps), steps)
+    tracker = _BudgetTracker(Budget())
+    best = _eliminate_undominated(graph, _greedy_proper(graph, tracker), tracker)
     k = phi_upper_bound(graph)
-    while k > best.color_count and not _expired(deadline):
-        classes = _seeded_proper(graph, k, steps, deadline)
+    while k > best.color_count:
+        classes = _seeded_proper(graph, k, tracker)
         if classes is not None:
-            found = _eliminate_undominated(graph, classes, steps, deadline)
+            found = _eliminate_undominated(graph, classes, tracker)
             if found is not None and found.color_count > best.color_count:
                 best = found
         k -= 1
@@ -645,7 +637,7 @@ def reference_heuristic_b_coloring(
         phi=best.color_count,
         certificate=best,
         infeasible_at=(),
-        stats=SolveStats(steps[0], time.perf_counter() - start, "heuristic"),
+        stats=SolveStats(tracker.nodes, time.perf_counter() - start, "heuristic"),
         exact=False,
     )
 

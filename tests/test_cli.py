@@ -35,7 +35,13 @@ from bkneser.formats import (
     write_graph,
 )
 from bkneser.reproduce import SUITES
-from bkneser.solver import BudgetExceeded, _eliminate_undominated, _greedy_proper
+from bkneser.solver import (
+    Budget,
+    BudgetExceeded,
+    _BudgetTracker,
+    _eliminate_undominated,
+    _greedy_proper,
+)
 from oracles import naive_dimacs, reference_dimacs_read_lines
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET = 0, 1, 2, 3
@@ -698,9 +704,9 @@ class TestSolveCli:
     def test_heuristic_mode_reads_time_budget(self, tmp_path):
         # a zero budget leaves phase 1's coloring: phase 2 starts no attempt
         graph = build_graph(KneserParams(2, 10))  # KG(14,2)
-        steps = [0]
-        base = _eliminate_undominated(graph, _greedy_proper(graph, steps), steps)
-        assert steps[0] < heuristic_b_coloring(graph).stats.nodes_explored
+        first = _BudgetTracker(Budget())
+        base = _eliminate_undominated(graph, _greedy_proper(graph, first), first)
+        assert first.nodes < heuristic_b_coloring(graph).stats.nodes_explored
         graph_file = tmp_path / "kg142.col"
         run_cli(["gen", "2", "10", "--out", str(graph_file)], cwd=tmp_path)
         proc = run_cli(
@@ -712,7 +718,7 @@ class TestSolveCli:
         payload = json.loads(proc.stdout)
         assert payload["config"]["budget_seconds"] == 0.0
         assert payload["phi"] == base.color_count
-        assert payload["stats"]["nodes_explored"] == steps[0]
+        assert payload["stats"]["nodes_explored"] == first.nodes
         assert read_certificate(tmp_path / "h.json")[0] == base
         verify = run_cli(["verify", str(graph_file), "h.json"], cwd=tmp_path)
         assert verify.returncode == EXIT_OK, verify.stderr
@@ -765,6 +771,34 @@ class TestSolveCli:
         payload = json.loads(proc.stdout)
         assert payload["status"] == "budget_exceeded"
         assert payload["bracket"]["upper"] == 4
+
+    # The node budget covers the heuristic's steps. KG(16,4): the first
+    # candidate, largest-first plus elimination, takes 1,820 steps and always
+    # completes; no seeded candidate starts after it, where the solve once
+    # ran all 12,671 heuristic steps and reported 2 nodes. KG(7,2): where the
+    # solve once returned phi 7 after 42 steps, above its 10-node budget,
+    # the Steiner triple system candidate no longer starts.
+    @pytest.mark.parametrize(
+        "n,k,budget,bracket", [(4, 8, 1, [10, 496]), (2, 3, 10, [5, 7])]
+    )
+    def test_node_budget_counts_the_heuristic(self, tmp_path, n, k, budget, bracket):
+        graph = build_graph(KneserParams(n, k))
+        first = _BudgetTracker(Budget())
+        base = _eliminate_undominated(graph, _greedy_proper(graph, first), first)
+        assert first.nodes == {(4, 8): 1_820, (2, 3): 21}[n, k]
+        start = time.monotonic()
+        proc = run_cli(
+            ["solve", str(n), str(k), "--budget-nodes", str(budget), "--format", "json",
+             "--cert", "c.json"],
+            cwd=tmp_path,
+        )
+        assert time.monotonic() - start < 10
+        assert proc.returncode == EXIT_BUDGET, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert [payload["bracket"]["lower"], payload["bracket"]["upper"]] == bracket
+        assert payload["tested_k"] == bracket[1]
+        assert payload["nodes_explored"] == first.nodes
+        assert read_certificate(tmp_path / "c.json")[0] == base
 
     # KG(9,2) and KG(13,2): the heuristic's Steiner triple system reaches
     # the best bound, so the solve searches nothing

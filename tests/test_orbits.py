@@ -15,8 +15,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from bkneser import KneserParams, best_upper_bound, build_graph
-from bkneser.solver import _canonically_ordered
+from bkneser import Budget, KneserParams, best_upper_bound, build_graph
+from bkneser.solver import _BudgetTracker, _canonically_ordered
 
 from oracles import _canonical, generate, isomorphic_families, point_signatures
 
@@ -166,7 +166,8 @@ def _kept(kg, k):
     all of them: `_seed_tuples` filters the k-sets of the vertices of degree
     >= k-1, on a regular graph all of them up to k = d+1 and none above."""
     every = combinations(range(kg.vertex_count), k)
-    return list(_canonically_ordered(every, kg.subsets, kg.params.ground_size, None))
+    tracker = _BudgetTracker(Budget())
+    return list(_canonically_ordered(every, kg.subsets, kg.params.ground_size, tracker))
 
 
 # each graph at every k, or up to the k where its check takes about a second

@@ -291,10 +291,10 @@ class TestKneserReduction:
         top = kg.degrees()[0] + 1
         for m in range(1, kg.vertex_count + 1):
             every = list(combinations(range(kg.vertex_count), m)) if m <= top else []
-            assert list(_seed_tuples(_stripped(kg), m)) == every, m
+            assert list(_seed_tuples(_stripped(kg), m, _fresh())) == every, m
             head = every[:20_000]
             kept = [t for t in head if _keys_descend([kg.subsets[v] for v in t], ground)]
-            got = takewhile(lambda t: t <= head[-1], _seed_tuples(kg, m))
+            got = takewhile(lambda t: t <= head[-1], _seed_tuples(kg, m, _fresh()))
             assert list(got) == kept, m
 
     def test_reduction_halves_refutation_nodes(self):
@@ -468,16 +468,26 @@ class TestPinnedOutputs:
         assert exc.certificate.colors == _digits(colors)
 
 
-def _trace_tuples(kernel, graph, k, budget, expired=False):
-    """Run `kernel` on every seed tuple of k in turn on one tracker, as
-    feasible_b_coloring does: each tuple's result with the node count after
-    it, ending in ("stopped", nodes) when the budget stops the search."""
-    tracker = _BudgetTracker(budget)
-    if expired:
-        tracker.deadline = time.monotonic() - 1.0
+def _fresh():
+    """A tracker under the default budget, which no test here comes near."""
+    return _BudgetTracker(Budget())
+
+
+def _past_deadline():
+    """A tracker whose deadline has already passed."""
+    tracker = _fresh()
+    tracker.deadline = time.monotonic() - 1.0
+    return tracker
+
+
+def _trace_tuples(kernel, graph, k, tracker):
+    """Run `kernel` on every seed tuple of k in turn on `tracker`, as
+    feasible_b_coloring does, the tuples scanned without a budget: each
+    tuple's result with the node count after it, ending in ("stopped",
+    nodes) when the budget stops the search."""
     trace = []
     try:
-        for seeds in _seed_tuples(graph, k):
+        for seeds in _seed_tuples(graph, k, _fresh()):
             trace.append((kernel(graph.masks, k, seeds, tracker), tracker.nodes))
     except _StopSearch:
         trace.append(("stopped", tracker.nodes))
@@ -515,26 +525,29 @@ class TestKernelAgainstReference:
         # the k that exact_phi tests, on the filtered tuples of the Kneser
         # graphs and on every tuple of the G(n, p) ones
         for k in range(1, phi_upper_bound(graph) + 1):
-            expected = _trace_tuples(reference_search_with_seeds, graph, k, Budget())
-            full = _trace_tuples(_search_with_seeds, graph, k, Budget())
+            expected = _trace_tuples(reference_search_with_seeds, graph, k, _fresh())
+            full = _trace_tuples(_search_with_seeds, graph, k, _fresh())
             assert [r for r, _ in full] == [r for r, _ in expected], k
-            roots = _per_tuple_nodes(_trace_tuples(_propagate_root, graph, k, Budget()))
+            roots = _per_tuple_nodes(_trace_tuples(_propagate_root, graph, k, _fresh()))
             below = [n - r for n, r in zip(_per_tuple_nodes(full), roots)]
             assert all(got <= ref for got, ref in zip(below, _per_tuple_nodes(expected))), k
             total = full[-1][1] if full else 0
             # node budgets that stop the search partway through a tuple
-            runs = [(Budget(max_nodes=total // d), False) for d in (2, 3) if total >= d]
+            runs = [
+                (_BudgetTracker(Budget(max_nodes=total // d)), total // d + 1)
+                for d in (2, 3)
+                if total >= d
+            ]
             if total >= _CLOCK_EVERY:
                 # a deadline already past stops it at the first clock check
-                runs.append((Budget(), True))
-            for budget, expired in runs:
-                got = _trace_tuples(_search_with_seeds, graph, k, budget, expired)
-                stop = _CLOCK_EVERY if expired else budget.max_nodes + 1
-                assert got[-1] == ("stopped", stop), (k, budget, expired)
+                runs.append((_past_deadline(), _CLOCK_EVERY))
+            for tracker, stop in runs:
+                got = _trace_tuples(_search_with_seeds, graph, k, tracker)
+                assert got[-1] == ("stopped", stop), (k, stop)
                 # the tuples finished before the stop, as in the full run
                 done = got[:-1]
-                assert done == full[: len(done)], (k, budget, expired)
-                assert full[len(done)][1] >= stop, (k, budget, expired)
+                assert done == full[: len(done)], (k, stop)
+                assert full[len(done)][1] >= stop, (k, stop)
                 stops += 1
         assert stops
 
@@ -591,7 +604,7 @@ class TestRootPropagation:
         # propagation refutes them at the root: every 7-subset of KG(6,2)
         # without its labels is refuted
         g = _stripped(build_graph(KneserParams(2, 2)))
-        trace = _trace_tuples(_search_with_seeds, g, 7, Budget())
+        trace = _trace_tuples(_search_with_seeds, g, 7, _fresh())
         assert len(trace) == 6_435 and all(r is None for r, _ in trace)
         assert min(_per_tuple_nodes(trace)) >= 1
 
@@ -664,12 +677,14 @@ class TestExactPhi:
     )
     def test_time_budget_covers_heuristic(self, params):
         g = build_graph(params)
-        fallback = _eliminate_undominated(g, _greedy_proper(g, [0]), [0])
+        first = _fresh()
+        fallback = _eliminate_undominated(g, _greedy_proper(g, first), first)
         with pytest.raises(BudgetExceeded) as info:
             exact_phi(g, budget=Budget(time_limit=0.0))
         exc = info.value
         assert exc.lower_bound == fallback.color_count
-        assert exc.nodes_explored == 0
+        # the first candidate always completes, and its steps count
+        assert exc.nodes_explored == first.nodes
         assert is_b_coloring(g, exc.certificate).valid
 
     def test_time_budget_bounds_a_long_heuristic_attempt(self):
@@ -685,6 +700,50 @@ class TestExactPhi:
         assert info.value.upper_bound == 496
         assert info.value.lower_bound >= 10
         assert is_b_coloring(g, info.value.certificate).valid
+
+
+def _budget_cases():
+    for params in [*(KneserParams(2, k) for k in range(1, 5)), KneserParams(3, 1)]:
+        make = partial(build_graph, params)
+        yield pytest.param(make, id=f"KG({params.ground_size},{params.n})")
+    for seed in range(20):
+        n, p = 8 + seed % 7, round(0.2 + 0.15 * (seed % 5), 2)
+        make = partial(erdos_renyi_graph, n, p, 4400 + seed)
+        yield pytest.param(make, id=f"G({n},{p})-{seed}")
+
+
+class TestOneBudget:
+    """The heuristic's steps and the search nodes of a solve count into one
+    tracker, so a solve's own count T is the whole of its work: a node
+    budget of T changes nothing, and one of T - 1 stops the solve at its
+    T-th step or node, wherever that falls."""
+
+    @pytest.mark.parametrize("make", list(_budget_cases()))
+    def test_budget_of_the_solves_own_count(self, make):
+        g = make()
+        full = exact_phi(g)
+        total = full.stats.nodes_explored
+        within = exact_phi(g, budget=Budget(max_nodes=total))
+        assert (within.phi, within.infeasible_at, within.certificate) == (
+            full.phi, full.infeasible_at, full.certificate,
+        )
+        assert within.stats.nodes_explored == total
+        with pytest.raises(BudgetExceeded) as info:
+            exact_phi(g, budget=Budget(max_nodes=total - 1))
+        exc = info.value
+        assert exc.nodes_explored == total
+        assert exc.lower_bound <= full.phi <= exc.upper_bound
+        assert is_b_coloring(g, exc.certificate).valid
+
+    def test_node_budget_leaves_the_first_candidate(self):
+        # KG(9,2): the Steiner triple system candidate would reach 12 colors,
+        # but it does not start once the first candidate has spent the budget
+        g = build_graph(KneserParams(2, 5))
+        first = _fresh()
+        fallback = _eliminate_undominated(g, _greedy_proper(g, first), first)
+        result = heuristic_b_coloring(g, budget=Budget(max_nodes=first.nodes - 1))
+        assert result.certificate == fallback and result.phi < 12
+        assert result.stats.nodes_explored == first.nodes
 
 
 class TestDeterminism:
@@ -766,20 +825,23 @@ class TestHeuristic:
 
     def test_elimination_stops_on_a_past_deadline(self):
         g = build_graph(KneserParams(2, 2))
-        classes = _greedy_proper(g, [0])
-        assert _eliminate_undominated(g, classes, [0], time.monotonic() - 1) is None
-        assert is_b_coloring(g, _eliminate_undominated(g, classes, [0])).valid
+        classes = _greedy_proper(g, _fresh())
+        assert _eliminate_undominated(g, classes, _past_deadline()) is None
+        assert is_b_coloring(g, _eliminate_undominated(g, classes, _fresh())).valid
+        # the first candidate's elimination is told not to stop
+        unstopped = _eliminate_undominated(g, classes, _past_deadline(), stoppable=False)
+        assert is_b_coloring(g, unstopped).valid
 
     def test_seeded_candidate_stops_on_a_past_deadline(self):
         g = build_graph(KneserParams(2, 2))  # KG(6,2): k = 7 gives a candidate
-        assert _seeded_proper(g, 7, [0], time.monotonic() - 1) is None
-        assert _seeded_proper(g, 7, [0]) is not None
+        assert _seeded_proper(g, 7, _past_deadline()) is None
+        assert _seeded_proper(g, 7, _fresh()) is not None
 
     def test_seeded_candidate_is_proper(self):
         g = build_graph(KneserParams(3, 3))  # KG(9,3)
         everyone = (1 << g.vertex_count) - 1
         for k in range(phi_upper_bound(g), 1, -1):
-            classes = _seeded_proper(g, k, [0])
+            classes = _seeded_proper(g, k, _fresh())
             if classes is not None:
                 assert len(classes) == k and all(classes)
                 # disjoint (no carries), and cover every vertex
@@ -794,7 +856,7 @@ class TestHeuristic:
         # test_seeded_candidate_stops_on_a_past_deadline pins the cut itself
         g = build_graph(KneserParams(4, 8))
         start = time.monotonic()
-        result = heuristic_b_coloring(g, deadline=start + 0.5)
+        result = heuristic_b_coloring(g, budget=Budget(time_limit=0.5))
         assert time.monotonic() - start < 2.5
         assert result.phi >= 10
         assert is_b_coloring(g, result.certificate).valid
@@ -815,14 +877,14 @@ class TestHeuristic:
         ]
         for g in graphs:
             for k in range(1, phi_upper_bound(g) + 2):
-                steps, ref_steps = [0], [0]
-                classes = _seeded_proper(g, k, steps)
-                reference = reference_seeded_proper(g, k, ref_steps)
+                tracker, ref_tracker = _fresh(), _fresh()
+                classes = _seeded_proper(g, k, tracker)
+                reference = reference_seeded_proper(g, k, ref_tracker)
                 if reference is None:
                     assert classes is None, (g, k)
                 else:
                     assert classes == class_masks(reference, k), (g, k)
-                assert steps == ref_steps, (g, k)
+                assert tracker.nodes == ref_tracker.nodes, (g, k)
 
     def test_elimination_matches_the_reference(self):
         graphs = [
@@ -840,19 +902,19 @@ class TestHeuristic:
             for seed in range(30)
         ]
         for g in graphs:
-            candidates = [_greedy_proper(g, [0])]
+            candidates = [_greedy_proper(g, _fresh())]
             candidates += [
                 classes
                 for k in range(1, phi_upper_bound(g) + 2)
-                if (classes := _seeded_proper(g, k, [0])) is not None
+                if (classes := _seeded_proper(g, k, _fresh())) is not None
             ]
             for classes in candidates:
-                steps, ref_steps = [0], [0]
-                found = _eliminate_undominated(g, classes, steps)
+                tracker, ref_tracker = _fresh(), _fresh()
+                found = _eliminate_undominated(g, classes, tracker)
                 colors = _colors_of(classes, g)
-                reference = reference_eliminate_undominated(g, colors, ref_steps)
+                reference = reference_eliminate_undominated(g, colors, ref_tracker)
                 assert found == reference, (g, classes)
-                assert steps == ref_steps, (g, classes)
+                assert tracker.nodes == ref_tracker.nodes, (g, classes)
 
     def test_schedule_matches_the_reference(self):
         # fixed before measuring: KG(5,2)-KG(14,2), KG(7,3)-KG(12,3) and 100
@@ -866,7 +928,7 @@ class TestHeuristic:
         for g in graphs:
             result = heuristic_b_coloring(g)
             reference = reference_heuristic_b_coloring(g)
-            if _steiner_classes(g, [0]) is not None:
+            if _steiner_classes(g, _fresh()) is not None:
                 # KG(7,2), KG(9,2) and KG(13,2): the Steiner triple system
                 # candidate, which the reference lacks, reaches the bound
                 ground = g.params.ground_size
@@ -888,8 +950,8 @@ class TestHeuristic:
     def test_first_kg164_candidate_eliminates_to_30_colors(self):
         g = build_graph(KneserParams(4, 8))
         assert phi_upper_bound(g) == 496
-        classes = _seeded_proper(g, 496, [0])
-        assert _eliminate_undominated(g, classes, [0]).color_count == 30
+        classes = _seeded_proper(g, 496, _fresh())
+        assert _eliminate_undominated(g, classes, _fresh()).color_count == 30
 
     def test_always_valid_on_random_graphs(self):
         for seed in range(20):
@@ -914,9 +976,9 @@ class TestSteinerTripleSystems:
     def test_classes_are_a_b_coloring_at_the_best_bound(self, ground):
         params = KneserParams(2, ground - 4)
         g = build_graph(params)
-        steps = [0]
-        classes = _steiner_classes(g, steps)
-        assert steps == [g.vertex_count]
+        tracker = _fresh()
+        classes = _steiner_classes(g, tracker)
+        assert tracker.nodes == g.vertex_count
         coloring = Coloring.from_sequence(_colors_of(classes, g))
         assert is_b_coloring(g, coloring).valid
         assert analyze_proof_structure(params, g, coloring).ok
@@ -924,18 +986,18 @@ class TestSteinerTripleSystems:
 
     def test_only_on_kneser_graphs_with_n_2_and_a_steiner_ground(self):
         kg92 = build_graph(KneserParams(2, 5))
-        assert _steiner_classes(_stripped(kg92), [0]) is None
+        assert _steiner_classes(_stripped(kg92), _fresh()) is None
         for params in (KneserParams(2, 4), KneserParams(3, 1), KneserParams(1, 5)):
-            assert _steiner_classes(build_graph(params), [0]) is None, params
+            assert _steiner_classes(build_graph(params), _fresh()) is None, params
 
     def test_candidate_stops_on_a_past_deadline(self):
         g = build_graph(KneserParams(2, 5))  # KG(9,2)
-        assert _steiner_classes(g, [0], time.monotonic() - 1) is None
-        steps = [0]
-        fallback = _eliminate_undominated(g, _greedy_proper(g, steps), steps)
-        result = heuristic_b_coloring(g, deadline=time.monotonic() - 1)
+        assert _steiner_classes(g, _past_deadline()) is None
+        first = _fresh()
+        fallback = _eliminate_undominated(g, _greedy_proper(g, first), first)
+        result = heuristic_b_coloring(g, budget=Budget(time_limit=0.0))
         assert result.certificate == fallback
-        assert result.stats.nodes_explored == steps[0]
+        assert result.stats.nodes_explored == first.nodes
 
     # KG(9,2) and KG(13,2): before the Steiner candidate, a 1M-node solve of
     # KG(9,2) ended in the bracket [7, 12]
